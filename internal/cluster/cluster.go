@@ -210,27 +210,11 @@ func shardSpecs(req Campaign, workers, defaultSize int) []server.ShardSpec {
 	if size > maxShardCount {
 		size = maxShardCount
 	}
-	var specs []server.ShardSpec
+	var windows [][2]int
 	for off := 0; off < req.Injections; off += size {
-		count := size
-		if off+count > req.Injections {
-			count = req.Injections - off
-		}
-		specs = append(specs, server.ShardSpec{
-			Workload:           req.Workload,
-			Machine:            req.Machine,
-			Structures:         req.Structures,
-			Injections:         req.Injections,
-			Seed:               req.Seed,
-			TargetInsts:        req.TargetInsts,
-			CheckpointInterval: req.CheckpointInterval,
-			ShardOffset:        off,
-			ShardCount:         count,
-			Triage:             req.Triage,
-			TriageDetected:     req.TriageDetected,
-		})
+		windows = append(windows, [2]int{off, min(size, req.Injections-off)})
 	}
-	return specs
+	return specsFromWindows(req, windows)
 }
 
 // Run executes the campaign across the configured workers and returns
@@ -238,6 +222,13 @@ func shardSpecs(req Campaign, workers, defaultSize int) []server.ShardSpec {
 // aside) to the single-process harness.Campaign run with the same
 // spec, or Run errors — there is no partial-success mode.
 func Run(ctx context.Context, cfg Config, req Campaign) (*harness.CampaignReport, error) {
+	return run(ctx, cfg, req, nil)
+}
+
+// run is Run that hands the merged report to keep, when non-nil,
+// before the campaign's journal is removed; keep's error fails the run
+// and leaves the journal for a later resume.
+func run(ctx context.Context, cfg Config, req Campaign, keep func(*harness.CampaignReport) error) (*harness.CampaignReport, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: no workers configured")
@@ -254,13 +245,12 @@ func Run(ctx context.Context, cfg Config, req Campaign) (*harness.CampaignReport
 	restored := map[int]*server.ShardPayload{}
 	if cfg.WALDir != "" {
 		token := campaignToken(req)
-		var st *walState
-		var err error
-		wal, st, err = openCampaignWAL(cfg.WALDir, token, cfg.Logger)
+		w, st, err := openCampaignWAL(cfg.WALDir, token)
 		if err != nil {
 			return nil, err
 		}
-		defer wal.close()
+		wal = w
+		defer wal.journal.Close()
 		if st == nil {
 			if err := wal.begin(req, specs); err != nil {
 				return nil, fmt.Errorf("cluster: journal campaign: %w", err)
@@ -384,13 +374,20 @@ func Run(ctx context.Context, cfg Config, req Campaign) (*harness.CampaignReport
 	if elapsed > 0 {
 		merged.InjectionsPerSec = float64(merged.Injected) / elapsed
 	}
-	// The report exists; the journal has done its job.
-	wal.finish()
+	if keep != nil {
+		if err := keep(merged); err != nil {
+			return nil, err
+		}
+	}
+	// The report is kept; the journal has done its job.
+	if err := wal.finish(); err != nil {
+		cfg.Logger.Warn("cluster: remove wal", "err", err)
+	}
 	return merged, nil
 }
 
-// specsFromWindows rebuilds shard specs from journaled [offset, count]
-// windows, preserving the original plan split across a resume.
+// specsFromWindows builds shard specs from [offset, count] windows,
+// freshly split or journaled (so a resume keeps the original split).
 func specsFromWindows(req Campaign, windows [][2]int) []server.ShardSpec {
 	specs := make([]server.ShardSpec, len(windows))
 	for i, w := range windows {
@@ -527,9 +524,6 @@ func (c *coordinator) recordAssign(idx int, worker string) {
 	prev := c.lastWorker[idx]
 	c.lastWorker[idx] = worker
 	c.mu.Unlock()
-	if err := c.wal.appendAssign(idx, worker); err != nil {
-		c.cfg.Logger.Warn("cluster: wal assign append failed", "shard", idx, "err", err)
-	}
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.ShardAssigned()
 		if prev != "" && prev != worker {

@@ -3,23 +3,23 @@ package cluster
 // Coordinator write-ahead log: the crash-safety half of the cluster
 // contract. The worker-side job journal (internal/server/journal.go)
 // makes a single replica's accepted work durable; this file applies
-// the same idiom — append-only JSON lines, fsync per record, torn-
-// tail-tolerant replay — to the coordinator, whose loss previously
-// forfeited an entire campaign.
+// the same log, internal/wal, to the coordinator, whose loss
+// previously forfeited an entire campaign.
 //
 // One campaign is one WAL file, keyed by a resume token:
 //
 //	<dir>/<token>.wal           the journal
 //	<dir>/<token>.shards/       content-addressed shard payload files
 //
-// Three record types:
+// Two record types:
 //
 //	campaign  the canonical Campaign spec plus the resolved shard
 //	          windows — journaled once, first, so a resumed run splits
 //	          the plan identically even if the worker set changed
-//	assign    shard → worker, for post-mortem observability
 //	complete  shard → sha256 of its payload file, appended only after
 //	          the payload bytes are durably on disk
+//
+// Older journals also hold "assign" records, which replay ignores.
 //
 // A restarted coordinator replays the WAL, reloads every completed
 // shard whose payload file still hashes to its journaled digest, and
@@ -31,26 +31,25 @@ package cluster
 // never invent it.
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"time"
 
+	"reese/internal/harness"
 	"reese/internal/server"
+	"reese/internal/wal"
 )
 
 // WAL record types.
 const (
 	walCampaign = "campaign"
-	walAssign   = "assign"
 	walComplete = "complete"
 )
 
@@ -61,23 +60,19 @@ type walRecord struct {
 	// Campaign fields.
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Shards [][2]int        `json:"shards,omitempty"` // [offset, count] per shard
-	// Assign/complete fields. Shard deliberately has no omitempty:
-	// index 0 is a real shard.
+	// Complete fields. Shard deliberately has no omitempty: index 0 is
+	// a real shard.
 	Shard  int    `json:"shard"`
-	Worker string `json:"worker,omitempty"`
 	Digest string `json:"digest,omitempty"`
 }
 
-// campaignWAL is the append handle for one campaign's journal.
-// Appends arrive from every worker loop concurrently; mu serializes
-// them so records never interleave mid-line.
+// campaignWAL is the append handle for one campaign's journal and
+// payload directory. appendComplete and finish are no-ops on a nil
+// receiver (no WALDir configured).
 type campaignWAL struct {
 	path      string
 	shardsDir string
-	log       *slog.Logger
-
-	mu sync.Mutex
-	f  *os.File
+	journal   *wal.Log[walRecord]
 }
 
 // walState is a campaign reconstructed from its WAL: the journaled
@@ -135,95 +130,56 @@ func sanitizeToken(token string) string {
 // dir and replays whatever is already there. A nil state means a fresh
 // campaign; the caller must journal the campaign record via begin
 // before assigning shards.
-func openCampaignWAL(dir, token string, log *slog.Logger) (*campaignWAL, *walState, error) {
+func openCampaignWAL(dir, token string) (*campaignWAL, *walState, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("cluster: wal dir: %w", err)
 	}
 	w := &campaignWAL{
 		path:      filepath.Join(dir, token+".wal"),
 		shardsDir: filepath.Join(dir, token+".shards"),
-		log:       log,
 	}
 	state, err := replayWAL(w.path)
 	if err != nil {
 		return nil, nil, err
 	}
-	w.f, err = os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w.journal, err = wal.Open[walRecord](w.path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: open wal: %w", err)
 	}
 	return w, state, nil
 }
 
-// replayWAL decodes the journal into the campaign's durable state. A
-// missing file is a fresh campaign; a malformed or torn trailing line
-// ends the replay at the last good record. A file without a leading
-// campaign record (e.g. only a torn first line survived) replays as
-// fresh.
+// replayWAL folds the journal into the campaign's durable state. A
+// missing file, or one without a leading campaign record (e.g. only a
+// torn first line survived), replays as fresh.
 func replayWAL(path string) (*walState, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open wal for replay: %w", err)
-	}
-	defer f.Close()
-
 	var st *walState
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // specs carry full machine configs
-	for sc.Scan() {
-		var rec walRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break // torn tail from a crash mid-append
-		}
+	err := wal.Replay(path, func(rec walRecord) bool {
 		switch rec.T {
 		case walCampaign:
 			if st != nil {
-				continue // duplicate campaign record: first one wins
+				return true // duplicate campaign record: first one wins
 			}
 			if len(rec.Spec) == 0 || len(rec.Shards) == 0 {
-				continue
+				return true
 			}
 			st = &walState{
-				spec:      append(json.RawMessage(nil), rec.Spec...),
+				spec:      rec.Spec,
 				windows:   rec.Shards,
 				completed: make(map[int]string),
 			}
 		case walComplete:
 			if st == nil || rec.Shard < 0 || rec.Shard >= len(st.windows) || rec.Digest == "" {
-				continue
+				return true
 			}
 			st.completed[rec.Shard] = rec.Digest
-		case walAssign:
-			// Observability only; no durable state.
 		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: open wal for replay: %w", err)
 	}
 	return st, nil
-}
-
-// append writes one record and fsyncs it. Failures are returned for
-// the caller to log: a sick disk degrades durability, never the
-// campaign itself.
-func (w *campaignWAL) append(rec walRecord) error {
-	if w == nil {
-		return nil
-	}
-	rec.TS = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("wal closed")
-	}
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return w.f.Sync()
 }
 
 // begin journals the campaign record: the canonical spec and the
@@ -238,18 +194,16 @@ func (w *campaignWAL) begin(req Campaign, specs []server.ShardSpec) error {
 	for i, s := range specs {
 		windows[i] = [2]int{s.ShardOffset, s.ShardCount}
 	}
-	return w.append(walRecord{T: walCampaign, Spec: spec, Shards: windows})
+	return w.journal.Append(walRecord{T: walCampaign, TS: time.Now().UTC(), Spec: spec, Shards: windows})
 }
 
-// appendAssign journals one shard assignment.
-func (w *campaignWAL) appendAssign(shard int, worker string) error {
-	return w.append(walRecord{T: walAssign, Shard: shard, Worker: worker})
-}
-
-// appendComplete persists one shard's payload — bytes first
-// (temp + fsync + rename into the content-addressed file), record
-// second — so a complete record in the journal always points at a
-// durable, verifiable payload.
+// appendComplete persists one shard's payload — bytes first, durably
+// stored under their own hash, record second — so a complete record
+// in the journal always points at a durable, verifiable payload. Two
+// workers finishing the same reassigned shard write identical bytes
+// through separate temp files, so they cannot race. Failures are
+// returned for the caller to log: a sick disk degrades durability,
+// never the campaign itself.
 func (w *campaignWAL) appendComplete(shard int, p *server.ShardPayload) error {
 	if w == nil {
 		return nil
@@ -260,44 +214,13 @@ func (w *campaignWAL) appendComplete(shard int, p *server.ShardPayload) error {
 	}
 	sum := sha256.Sum256(raw)
 	digest := hex.EncodeToString(sum[:])
-	if err := w.writePayloadFile(digest, raw); err != nil {
-		return err
-	}
-	return w.append(walRecord{T: walComplete, Shard: shard, Digest: digest})
-}
-
-// writePayloadFile durably stores one payload under its own hash.
-// Serialized by mu so two workers finishing the same reassigned shard
-// cannot race on the temp file.
-func (w *campaignWAL) writePayloadFile(digest string, raw []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if err := os.MkdirAll(w.shardsDir, 0o755); err != nil {
 		return err
 	}
-	final := filepath.Join(w.shardsDir, digest+".json")
-	if _, err := os.Stat(final); err == nil {
-		return nil // content-addressed: already durable
-	}
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := wal.WriteFile(filepath.Join(w.shardsDir, digest+".json"), raw, 0o644); err != nil {
 		return err
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
+	return w.journal.Append(walRecord{T: walComplete, TS: time.Now().UTC(), Shard: shard, Digest: digest})
 }
 
 // loadPayload reads one completed shard's payload back, verifying the
@@ -319,35 +242,15 @@ func (w *campaignWAL) loadPayload(digest string) (*server.ShardPayload, error) {
 	return &p, nil
 }
 
-// close releases the journal handle without touching the files — the
-// state survives for a future resume.
-func (w *campaignWAL) close() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return
-	}
-	w.f.Close()
-	w.f = nil
-}
-
 // finish removes the campaign's journal and payload files after the
-// merged report has been produced — the cluster analog of the job
-// journal's compaction on clean drain.
-func (w *campaignWAL) finish() {
+// merged report has been produced and kept — the cluster analog of the
+// job journal's compaction on clean drain.
+func (w *campaignWAL) finish() error {
 	if w == nil {
-		return
+		return nil
 	}
-	w.close()
-	if err := os.Remove(w.path); err != nil && !os.IsNotExist(err) {
-		w.log.Warn("cluster: remove wal", "path", w.path, "err", err)
-	}
-	if err := os.RemoveAll(w.shardsDir); err != nil {
-		w.log.Warn("cluster: remove wal shards", "dir", w.shardsDir, "err", err)
-	}
+	w.journal.Close()
+	return errors.Join(os.Remove(w.path), os.RemoveAll(w.shardsDir))
 }
 
 // ResumedCampaign names one campaign picked up from the WAL directory
@@ -362,9 +265,11 @@ type ResumedCampaign struct {
 // and runs each to completion, writing the merged report next to the
 // journal as <token>.report.json — how a restarted coordinator
 // (`reese-serve -cluster-workers ... -cluster-wal DIR -resume`)
-// finishes campaigns whose clients are long gone. Campaigns run
-// sequentially: resumed work shares the worker fleet with live
-// traffic and must not stampede it.
+// finishes campaigns whose clients are long gone. The report is
+// durable before the journal is removed, so a crash or a failed write
+// leaves the campaign resumable. Campaigns run sequentially: resumed
+// work shares the worker fleet with live traffic and must not
+// stampede it.
 func ResumeCampaigns(ctx context.Context, cfg Config) []ResumedCampaign {
 	var out []ResumedCampaign
 	if cfg.WALDir == "" {
@@ -375,34 +280,35 @@ func ResumeCampaigns(ctx context.Context, cfg Config) []ResumedCampaign {
 		return out
 	}
 	for _, path := range matches {
-		token := filepath.Base(path)
-		token = token[:len(token)-len(".wal")]
+		token := strings.TrimSuffix(filepath.Base(path), ".wal")
+		reportPath := filepath.Join(cfg.WALDir, token+".report.json")
 		rc := ResumedCampaign{Token: token}
-		st, rerr := replayWAL(path)
-		if rerr != nil || st == nil {
-			rc.Err = fmt.Errorf("cluster: unreadable wal %s: %v", path, rerr)
-			out = append(out, rc)
-			continue
-		}
-		var req Campaign
-		if err := json.Unmarshal(st.spec, &req); err != nil {
-			rc.Err = fmt.Errorf("cluster: wal %s spec: %w", path, err)
-			out = append(out, rc)
-			continue
-		}
-		req.ResumeToken = token
-		rep, rerr2 := Run(ctx, cfg, req)
-		if rerr2 != nil {
-			rc.Err = rerr2
-			out = append(out, rc)
-			continue
-		}
-		raw, _ := json.MarshalIndent(rep, "", "  ")
-		rc.ReportPath = filepath.Join(cfg.WALDir, token+".report.json")
-		if werr := os.WriteFile(rc.ReportPath, append(raw, '\n'), 0o644); werr != nil {
-			rc.Err = werr
+		if rc.Err = resumeCampaign(ctx, cfg, path, token, reportPath); rc.Err == nil {
+			rc.ReportPath = reportPath
 		}
 		out = append(out, rc)
 	}
 	return out
+}
+
+// resumeCampaign finishes the campaign journaled at path and durably
+// writes its merged report to reportPath before the journal goes.
+func resumeCampaign(ctx context.Context, cfg Config, path, token, reportPath string) error {
+	st, err := replayWAL(path)
+	if err != nil || st == nil {
+		return fmt.Errorf("cluster: unreadable wal %s: %v", path, err)
+	}
+	var req Campaign
+	if err := json.Unmarshal(st.spec, &req); err != nil {
+		return fmt.Errorf("cluster: wal %s spec: %w", path, err)
+	}
+	req.ResumeToken = token
+	_, err = run(ctx, cfg, req, func(rep *harness.CampaignReport) error {
+		raw, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return fmt.Errorf("cluster: encode report: %w", err)
+		}
+		return wal.WriteFile(reportPath, append(raw, '\n'), 0o644)
+	})
+	return err
 }

@@ -5,10 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,10 +16,6 @@ import (
 	"reese/internal/harness"
 	"reese/internal/server"
 )
-
-func testWALLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
 
 func testPayload(offset, count, plan int) *server.ShardPayload {
 	return &server.ShardPayload{
@@ -39,7 +34,7 @@ func TestWALRoundTrip(t *testing.T) {
 	req := Campaign{Workload: "li", Machine: &machine, Injections: 20, Seed: 3}
 	specs := shardSpecs(req, 2, 5)
 
-	w, st, err := openCampaignWAL(dir, "round-trip", testWALLogger())
+	w, st, err := openCampaignWAL(dir, "round-trip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +44,9 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.begin(req, specs); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendAssign(0, "http://worker-a"); err != nil {
+	// Coordinators no longer journal assignments, but WALs written
+	// before that carry "assign" lines that replay must skip.
+	if err := w.journal.Append(walRecord{T: "assign", Shard: 0}); err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range []int{0, 2} {
@@ -57,13 +54,13 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.close()
+	w.journal.Close()
 
-	w2, st2, err := openCampaignWAL(dir, "round-trip", testWALLogger())
+	w2, st2, err := openCampaignWAL(dir, "round-trip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
+	defer w2.journal.Close()
 	if st2 == nil {
 		t.Fatal("written WAL replayed as fresh")
 	}
@@ -101,7 +98,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	req := Campaign{Workload: "li", Machine: &machine, Injections: 10, Seed: 1}
 	specs := shardSpecs(req, 1, 5)
 
-	w, _, err := openCampaignWAL(dir, "torn", testWALLogger())
+	w, _, err := openCampaignWAL(dir, "torn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	if err := w.appendComplete(0, testPayload(0, 5, 10)); err != nil {
 		t.Fatal(err)
 	}
-	w.close()
+	w.journal.Close()
 
 	path := filepath.Join(dir, "torn.wal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -146,7 +143,7 @@ func TestWALCorruptPayloadRejected(t *testing.T) {
 	req := Campaign{Workload: "li", Machine: &machine, Injections: 10, Seed: 1}
 	specs := shardSpecs(req, 1, 5)
 
-	w, _, err := openCampaignWAL(dir, "corrupt", testWALLogger())
+	w, _, err := openCampaignWAL(dir, "corrupt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestWALCorruptPayloadRejected(t *testing.T) {
 	if _, err := w.loadPayload(digest); err == nil {
 		t.Fatal("corrupt payload file loaded without error")
 	}
-	w.close()
+	w.journal.Close()
 }
 
 // A resume token that names a different campaign must hard-error, not
@@ -190,14 +187,14 @@ func TestWALSpecMismatchRejected(t *testing.T) {
 	reqA := Campaign{Workload: "li", Machine: &machine, Injections: 20, Seed: 3, ResumeToken: "shared-token"}
 	specs := shardSpecs(reqA, 1, 5)
 
-	w, _, err := openCampaignWAL(dir, campaignToken(reqA), testWALLogger())
+	w, _, err := openCampaignWAL(dir, campaignToken(reqA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.begin(reqA, specs); err != nil {
 		t.Fatal(err)
 	}
-	w.close()
+	w.journal.Close()
 
 	reqB := reqA
 	reqB.Seed = 4 // different campaign, same token
@@ -213,29 +210,8 @@ func TestWALSpecMismatchRejected(t *testing.T) {
 // the campaign, and write its merged report next to the journal — the
 // `reese-serve -resume` startup path.
 func TestResumeCampaignsScansDir(t *testing.T) {
-	machine := config.Starting().WithReese()
-	walDir := t.TempDir()
-	campaign := Campaign{
-		Workload: "li", Machine: &machine, Injections: 20, Seed: 3,
-		ShardSize: 5, ResumeToken: "orphaned-campaign",
-	}
-
-	// Interrupt a campaign after its first completed shard.
-	cfg := testClusterConfig(newWorkers(t, 1))
-	cfg.WALDir = walDir
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	cfg.OnEvent = func(ev Event) {
-		if ev.Type == "completed" {
-			once.Do(cancel)
-		}
-	}
-	if _, err := Run(ctx, cfg, campaign); err == nil {
-		t.Fatal("interrupted run returned no error; nothing left to resume")
-	}
-
-	cfg.OnEvent = nil
+	cfg := interruptedCampaign(t)
+	walDir := cfg.WALDir
 	results := ResumeCampaigns(context.Background(), cfg)
 	if len(results) != 1 {
 		t.Fatalf("ResumeCampaigns found %d campaigns, want 1", len(results))
@@ -261,6 +237,134 @@ func TestResumeCampaignsScansDir(t *testing.T) {
 	if matches, _ := filepath.Glob(filepath.Join(walDir, "*.wal")); len(matches) != 0 {
 		t.Errorf("resumed campaign left WAL files behind: %v", matches)
 	}
+}
+
+// interruptedCampaign leaves the WAL of a campaign with token
+// "orphaned-campaign" cancelled after its first completed shard, and
+// returns a config whose WALDir holds it.
+func interruptedCampaign(t *testing.T) Config {
+	t.Helper()
+	machine := config.Starting().WithReese()
+	campaign := Campaign{
+		Workload: "li", Machine: &machine, Injections: 20, Seed: 3,
+		ShardSize: 5, ResumeToken: "orphaned-campaign",
+	}
+	cfg := testClusterConfig(newWorkers(t, 1))
+	cfg.WALDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	cfg.OnEvent = func(ev Event) {
+		if ev.Type == "completed" {
+			once.Do(cancel)
+		}
+	}
+	if _, err := Run(ctx, cfg, campaign); err == nil {
+		t.Fatal("interrupted run returned no error; nothing left to resume")
+	}
+	cfg.OnEvent = nil
+	return cfg
+}
+
+// A resumed campaign whose report cannot be written must keep its WAL:
+// the journal is the only record of the finished work until the report
+// is durable.
+func TestResumeCampaignsKeepsWALWhenReportFails(t *testing.T) {
+	cfg := interruptedCampaign(t)
+	walPath := filepath.Join(cfg.WALDir, "orphaned-campaign.wal")
+	reportPath := filepath.Join(cfg.WALDir, "orphaned-campaign.report.json")
+	// A directory in the report's place makes the write fail.
+	if err := os.Mkdir(reportPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	results := ResumeCampaigns(context.Background(), cfg)
+	if len(results) != 1 || results[0].Err == nil {
+		t.Fatalf("unwritable report: ResumeCampaigns = %+v, want one campaign with an error", results)
+	}
+	if _, err := os.Stat(walPath); err != nil {
+		t.Fatalf("failed report write lost the WAL: %v", err)
+	}
+
+	// Once the obstacle is gone the same WAL resumes and reports.
+	if err := os.Remove(reportPath); err != nil {
+		t.Fatal(err)
+	}
+	results = ResumeCampaigns(context.Background(), cfg)
+	if len(results) != 1 || results[0].Err != nil || results[0].ReportPath != reportPath {
+		t.Fatalf("retry: ResumeCampaigns = %+v, want the report at %s", results, reportPath)
+	}
+	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
+		t.Errorf("WAL still present after a kept report: %v", err)
+	}
+}
+
+// parentWAL is a campaign WAL written by the previous, pre-internal/wal
+// coordinator: it journals "assign" records and ends in a torn tail.
+const parentWAL = `{"t":"campaign","ts":"2026-10-17T05:00:05.417642963Z","spec":{"workload":"li","injections":12,"seed":5,"shard_size":4},"shards":[[0,4],[4,4],[8,4]],"shard":0}
+{"t":"assign","ts":"2026-10-17T05:00:05.41808821Z","shard":0,"worker":"http://w1"}
+{"t":"assign","ts":"2026-10-17T05:00:05.418174699Z","shard":1,"worker":"http://w2"}
+{"t":"complete","ts":"2026-10-17T05:00:05.418726809Z","shard":1,"digest":"1a0f34970ec206f401f2245a008980a83bf77267fa9a36ec4484c3bf71e18b4a"}
+{"t":"assign","ts":"2026-10-17T05:00:05.418806288Z","shard":0,"worker":"http://w2"}
+{"t":"complete","ts":"2026-10-17T05:00:05.419046297Z","shard":0,"digest":"1660463ba7d1eded1b34bdd8501734d09d7274b7663cea48525f6483d85685be"}
+{"t":"complete","shard":2,"dig`
+
+// Parent-written WALs must replay to the state the parent's replayer
+// produced from the same bytes, so campaigns interrupted before an
+// upgrade still resume.
+func TestReplayWALParentFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tok.wal")
+	if err := os.WriteFile(path, []byte(parentWAL), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := replayWAL(path)
+	if err != nil || st == nil {
+		t.Fatalf("replay = %v, %v; want a campaign", st, err)
+	}
+	if want := `{"workload":"li","injections":12,"seed":5,"shard_size":4}`; string(st.spec) != want {
+		t.Errorf("spec %s, want %s", st.spec, want)
+	}
+	if want := [][2]int{{0, 4}, {4, 4}, {8, 4}}; !reflect.DeepEqual(st.windows, want) {
+		t.Errorf("windows %v, want %v", st.windows, want)
+	}
+	want := map[int]string{
+		0: "1660463ba7d1eded1b34bdd8501734d09d7274b7663cea48525f6483d85685be",
+		1: "1a0f34970ec206f401f2245a008980a83bf77267fa9a36ec4484c3bf71e18b4a",
+	}
+	if !reflect.DeepEqual(st.completed, want) {
+		t.Errorf("completed %v, want %v", st.completed, want)
+	}
+}
+
+// FuzzReplayWAL: no input may panic the replayer or make it error, and
+// every completed shard it reports must lie inside the journaled
+// windows and name a digest.
+func FuzzReplayWAL(f *testing.F) {
+	f.Add([]byte(parentWAL))
+	f.Add([]byte(parentWAL[:strings.Index(parentWAL, "\n")+1]))
+	f.Add([]byte(`{"t":"complete","shard":0,"digest":"ab"}` + "\n"))
+	f.Add([]byte(`{"t":"campaign","spec":{},"shards":[[0,1]]}` + "\n" + `{"t":"complete","shard":-1,"digest":"ab"}` + "\n" + `{"t":"complete","shard":1,"digest":"ab"}`))
+	f.Add([]byte("\x00\xff"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		st, err := replayWAL(path)
+		if err != nil {
+			t.Fatalf("replay must tolerate any content, got %v", err)
+		}
+		if st == nil {
+			return
+		}
+		if len(st.spec) == 0 || len(st.windows) == 0 {
+			t.Fatalf("campaign replayed without spec or windows: %+v", st)
+		}
+		for idx, digest := range st.completed {
+			if idx < 0 || idx >= len(st.windows) || digest == "" {
+				t.Fatalf("completed shard %d (digest %q) outside %d windows", idx, digest, len(st.windows))
+			}
+		}
+	})
 }
 
 // Tokens become filenames; anything exotic must be hashed, not trusted.

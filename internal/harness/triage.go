@@ -325,7 +325,8 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 		}
 	}
 	if div != nil {
-		if fc := cpu.FaultCycle(); fc != 0 && divCycle > fc {
+		// Not cpu.FaultCycle(): cpu is back in the worker pool by now.
+		if fc := rt.faultCycle; fc != 0 && divCycle > fc {
 			div.Cycle = divCycle
 			div.CycleDelta = divCycle - fc
 		}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"reese/internal/obs"
+	"reese/internal/wal"
 )
 
 // JobState is a job's position in its lifecycle.
@@ -222,7 +223,7 @@ type jobRunner struct {
 	queue   chan *Job
 	rootCtx context.Context
 	cfg     runnerConfig
-	journal *journal
+	journal *wal.Log[journalRecord]
 	log     *slog.Logger
 
 	mu       sync.Mutex
@@ -263,7 +264,7 @@ type jobRunner struct {
 // newJobRunner starts the worker pool and (when configured) the
 // watchdog. rootCtx is the server's lifetime: cancelling it aborts
 // every job and ultimately stops the workers.
-func newJobRunner(rootCtx context.Context, cfg runnerConfig, jl *journal, log *slog.Logger, m *Metrics) *jobRunner {
+func newJobRunner(rootCtx context.Context, cfg runnerConfig, jl *wal.Log[journalRecord], log *slog.Logger, m *Metrics) *jobRunner {
 	r := &jobRunner{
 		queue:     make(chan *Job, cfg.queueDepth),
 		rootCtx:   rootCtx,
@@ -296,7 +297,8 @@ func newJobRunner(rootCtx context.Context, cfg runnerConfig, jl *journal, log *s
 // journalAppend logs append failures instead of propagating them: a
 // sick disk degrades durability, not availability.
 func (r *jobRunner) journalAppend(rec journalRecord) {
-	if err := r.journal.append(rec); err != nil {
+	rec.TS = time.Now().UTC()
+	if err := r.journal.Append(rec); err != nil {
 		r.log.Error("journal append", "type", rec.T, "job", rec.Job, "err", err)
 	}
 }
@@ -343,9 +345,12 @@ func (r *jobRunner) submit(kind, cacheKey string, rawReq json.RawMessage, timeou
 		j.spans.AddChild("journal-append submit", jstart, time.Now(), "")
 	}
 	j.waitSpan = j.spans.StartChild("queue-wait", time.Now())
+	// Live before queued: a worker may finish the job before we return.
+	r.liveWG.Add(1)
 	select {
 	case r.queue <- j:
 	default:
+		r.liveWG.Done()
 		r.mu.Unlock()
 		// The submit record is already durable; mark the job canceled so
 		// a replay does not resurrect work the client was told got 503.
@@ -353,7 +358,6 @@ func (r *jobRunner) submit(kind, cacheKey string, rawReq json.RawMessage, timeou
 		j.cancel()
 		return nil, errQueueFull
 	}
-	r.liveWG.Add(1)
 	r.jobs[j.ID] = j
 	r.order = append(r.order, j.ID)
 	r.evictLocked()
@@ -950,7 +954,7 @@ func (r *jobRunner) compactJournal() {
 		j.mu.Unlock()
 	}
 	r.mu.Unlock()
-	if err := r.journal.compact(live); err != nil {
+	if err := r.journal.Rewrite(live); err != nil {
 		r.log.Error("journal compact", "err", err)
 	}
 }

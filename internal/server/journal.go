@@ -2,7 +2,9 @@ package server
 
 // Crash-safe job journal: an append-only JSON-lines write-ahead log of
 // job state transitions (submit, start, retry, done, fail, cancel),
-// fsync'd on every append. A restarted server replays the journal and
+// kept by internal/wal (fsync per append, torn-tail-tolerant replay,
+// atomic rewrite). This file owns the record type and the fold from
+// records to job states. A restarted server replays the journal and
 // re-enqueues every job whose last recorded state is non-terminal —
 // sound because simulation is deterministic and requests are journaled
 // in canonical (normalized) form, so a re-run produces byte-identical
@@ -11,20 +13,16 @@ package server
 // cause, and an identical resubmission recomputes the payload through
 // the cache.
 //
-// Replay is tolerant by construction: a crash can leave a torn final
-// line, so decoding stops at the first malformed line and keeps
-// everything before it (locked in by FuzzReplayJournal). Clean
-// shutdown compacts the journal down to the submit records of any
-// still-unfinished jobs (normally none), so the file does not grow
+// Clean shutdown compacts the journal down to the submit records of
+// any still-unfinished jobs (normally none), so the file does not grow
 // across restarts.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"time"
+
+	"reese/internal/wal"
 )
 
 // Journal record types.
@@ -52,123 +50,6 @@ type journalRecord struct {
 	Cause   string `json:"cause,omitempty"`
 }
 
-// journal is the append handle. All methods are safe on a nil receiver
-// (journaling disabled) and after kill() (simulated crash: appends stop
-// reaching the file, exactly as if the process had died).
-type journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	killed bool
-}
-
-// openJournal opens (creating if needed) the journal at path for
-// appending.
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: open journal: %w", err)
-	}
-	return &journal{f: f, path: path}, nil
-}
-
-// append writes one record and fsyncs, so an acknowledged transition
-// survives power loss. Errors are returned for the caller to log; the
-// serving path must not die because a disk did.
-func (j *journal) append(rec journalRecord) error {
-	if j == nil {
-		return nil
-	}
-	rec.TS = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.killed || j.f == nil {
-		return nil
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// kill simulates a hard process death for the chaos harness and for
-// expired drains: every subsequent append silently vanishes, leaving
-// the on-disk journal exactly as a SIGKILL would have — so unfinished
-// jobs keep their last durable state and are replayed on restart.
-func (j *journal) kill() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.killed = true
-	j.mu.Unlock()
-}
-
-// close releases the file handle.
-func (j *journal) close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-}
-
-// compact rewrites the journal to hold only the submit records of the
-// given unfinished jobs (normally none after a clean drain), via a
-// temp-file rename so a crash mid-compaction loses nothing.
-func (j *journal) compact(live []journalRecord) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.killed {
-		return nil // a "dead" journal must keep its crash-time contents
-	}
-	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	for _, rec := range live {
-		line, merr := json.Marshal(rec)
-		if merr != nil {
-			f.Close()
-			os.Remove(tmp)
-			return merr
-		}
-		if _, werr := f.Write(append(line, '\n')); werr != nil {
-			f.Close()
-			os.Remove(tmp)
-			return werr
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	if j.f != nil {
-		j.f.Close()
-	}
-	j.f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	return err
-}
-
 // replayedJob is one job reconstructed from the journal: its last
 // durable state plus everything needed to re-enqueue it if that state
 // is non-terminal.
@@ -186,33 +67,17 @@ type replayedJob struct {
 	Cause    string
 }
 
-// replayJournal decodes the journal at path into per-job final states,
+// replayJournal folds the journal at path into per-job final states,
 // in submission order, plus the highest job ID seen (so a restarted
-// server's ID counter never collides). A missing file is an empty
-// journal. Malformed or truncated trailing data ends the replay at the
-// last good line — never an error, never a panic.
+// server's ID counter never collides). Replay stops at the first record
+// without a job ID.
 func replayJournal(path string) ([]replayedJob, uint64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("server: open journal for replay: %w", err)
-	}
-	defer f.Close()
-
 	byID := make(map[string]*replayedJob)
 	var order []string
 	var maxID uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // canonical requests can be large (full machine configs)
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break // torn tail from a crash mid-append: keep what we have
-		}
+	err := wal.Replay(path, func(rec journalRecord) bool {
 		if rec.Job == "" {
-			break
+			return false
 		}
 		var n uint64
 		if _, err := fmt.Sscanf(rec.Job, "j-%d", &n); err == nil && n > maxID {
@@ -221,16 +86,16 @@ func replayJournal(path string) ([]replayedJob, uint64, error) {
 		switch rec.T {
 		case recSubmit:
 			if rec.Kind == "" || len(rec.Req) == 0 {
-				continue // malformed but parseable line: skip defensively
+				return true // malformed but parseable line: skip defensively
 			}
 			if _, dup := byID[rec.Job]; dup {
-				continue // duplicate submit: first one wins
+				return true // duplicate submit: first one wins
 			}
 			byID[rec.Job] = &replayedJob{
 				ID:      rec.Job,
 				Kind:    rec.Kind,
 				Key:     rec.Key,
-				Req:     append(json.RawMessage(nil), rec.Req...),
+				Req:     rec.Req,
 				Timeout: time.Duration(rec.TimeoutMS) * time.Millisecond,
 				Created: rec.TS,
 				State:   StateQueued,
@@ -263,6 +128,10 @@ func replayJournal(path string) ([]replayedJob, uint64, error) {
 				r.Cause = rec.Cause
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("server: open journal for replay: %w", err)
 	}
 	out := make([]replayedJob, 0, len(order))
 	for _, id := range order {

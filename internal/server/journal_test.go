@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"reese/internal/wal"
 )
 
-func mustAppend(t *testing.T, jl *journal, rec journalRecord) {
+func mustAppend(t *testing.T, jl *wal.Log[journalRecord], rec journalRecord) {
 	t.Helper()
-	if err := jl.append(rec); err != nil {
+	if err := jl.Append(rec); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -20,7 +23,7 @@ func mustAppend(t *testing.T, jl *journal, rec journalRecord) {
 // journal and checks the replayed final states.
 func TestJournalReplayStates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.wal")
-	jl, err := openJournal(path)
+	jl, err := wal.Open[journalRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestJournalReplayStates(t *testing.T) {
 	mustAppend(t, jl, journalRecord{T: recFail, Job: "j-000004", Attempt: 3, Cause: "boom"})
 	mustAppend(t, jl, sub("j-000005"))
 	mustAppend(t, jl, journalRecord{T: recCancel, Job: "j-000005", Cause: "client gone"})
-	jl.close()
+	jl.Close()
 
 	jobs, maxID, err := replayJournal(path)
 	if err != nil {
@@ -103,17 +106,17 @@ func TestJournalTornTail(t *testing.T) {
 // on-disk journal keeps its crash-time contents.
 func TestJournalKillFreezesDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.wal")
-	jl, err := openJournal(path)
+	jl, err := wal.Open[journalRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, jl, journalRecord{T: recSubmit, Job: "j-000001", Kind: "run", Req: json.RawMessage(`{}`)})
-	jl.kill()
+	jl.Kill()
 	mustAppend(t, jl, journalRecord{T: recDone, Job: "j-000001"}) // must vanish
-	if err := jl.compact(nil); err != nil {                       // must be a no-op too
+	if err := jl.Rewrite(nil); err != nil {                       // must be a no-op too
 		t.Fatal(err)
 	}
-	jl.close()
+	jl.Close()
 
 	jobs, _, err := replayJournal(path)
 	if err != nil {
@@ -128,7 +131,7 @@ func TestJournalKillFreezesDisk(t *testing.T) {
 // submits and the handle stays appendable.
 func TestJournalCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.wal")
-	jl, err := openJournal(path)
+	jl, err := wal.Open[journalRecord](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +139,12 @@ func TestJournalCompact(t *testing.T) {
 	mustAppend(t, jl, journalRecord{T: recDone, Job: "j-000001"})
 	mustAppend(t, jl, journalRecord{T: recSubmit, Job: "j-000002", Kind: "figure", Req: json.RawMessage(`{"figure":"2"}`)})
 	live := []journalRecord{{T: recSubmit, Job: "j-000002", Kind: "figure", Req: json.RawMessage(`{"figure":"2"}`)}}
-	if err := jl.compact(live); err != nil {
+	if err := jl.Rewrite(live); err != nil {
 		t.Fatal(err)
 	}
 	// The handle must still append (post-compaction transitions).
 	mustAppend(t, jl, journalRecord{T: recStart, Job: "j-000002", Attempt: 1})
-	jl.close()
+	jl.Close()
 
 	jobs, maxID, err := replayJournal(path)
 	if err != nil {
@@ -155,6 +158,61 @@ func TestJournalCompact(t *testing.T) {
 	}
 }
 
+// parentJournal is a journal written by the previous, pre-internal/wal
+// implementation, torn tail included. Its bytes must keep replaying to
+// the states that implementation's replayer produced.
+const parentJournal = `{"t":"submit","job":"j-000001","ts":"2026-10-17T05:00:04.277392717Z","kind":"run","key":"k1","req":{"workload":"li","insts":5000},"timeout_ms":60000}
+{"t":"start","job":"j-000001","ts":"2026-10-17T05:00:04.277872559Z","attempt":1}
+{"t":"done","job":"j-000001","ts":"2026-10-17T05:00:04.27802401Z","attempt":1}
+{"t":"submit","job":"j-000002","ts":"2026-10-17T05:00:04.278111578Z","kind":"faults","key":"k2","req":{"workload":"li","insts":5000},"timeout_ms":1000}
+{"t":"start","job":"j-000002","ts":"2026-10-17T05:00:04.278200518Z","attempt":1}
+{"t":"retry","job":"j-000002","ts":"2026-10-17T05:00:04.278281803Z","attempt":1,"cause":"panic: chaos"}
+{"t":"submit","job":"j-000003","ts":"2026-10-17T05:00:04.278361707Z","kind":"run","key":"k3","req":{"workload":"li","insts":5000}}
+{"t":"fail","job":"j-000003","ts":"2026-10-17T05:00:04.278441274Z","attempt":3,"cause":"boom"}
+{"t":"submit","job":"j-000004","ts":"2026-10-17T05:00:04.278533232Z","kind":"run","key":"k4","req":{"workload":"li","insts":5000}}
+{"t":"cancel","job":"j-000004","ts":"2026-10-17T05:00:04.278614533Z","cause":"client gone"}
+{"t":"submit","job":"j-000007","ts":"2026-10-17T05:00:04.278696185Z","kind":"figure","key":"k7","req":{"workload":"li","insts":5000}}
+{"t":"done","job":"j-0000`
+
+func TestReplayJournalParentFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, []byte(parentJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jobs, maxID, err := replayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxID != 7 {
+		t.Errorf("maxID = %d, want 7", maxID)
+	}
+	at := func(ns int) time.Time { return time.Date(2026, 10, 17, 5, 0, 4, ns, time.UTC) }
+	want := []replayedJob{
+		{ID: "j-000001", Kind: "run", Key: "k1", Timeout: time.Minute, Created: at(277392717), State: StateDone, Attempts: 1},
+		{ID: "j-000002", Kind: "faults", Key: "k2", Timeout: time.Second, Created: at(278111578), State: StateRetrying, Attempts: 1, Cause: "panic: chaos"},
+		{ID: "j-000003", Kind: "run", Key: "k3", Created: at(278361707), State: StateFailed, Attempts: 3, Cause: "boom"},
+		{ID: "j-000004", Kind: "run", Key: "k4", Created: at(278533232), State: StateCanceled, Cause: "client gone"},
+		{ID: "j-000007", Kind: "figure", Key: "k7", Created: at(278696185), State: StateQueued},
+	}
+	if len(jobs) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, w := range want {
+		got := jobs[i]
+		if string(got.Req) != `{"workload":"li","insts":5000}` {
+			t.Errorf("job %s req %s", got.ID, got.Req)
+		}
+		got.Req = nil
+		if !got.Created.Equal(w.Created) {
+			t.Errorf("job %s created %v, want %v", got.ID, got.Created, w.Created)
+		}
+		got.Created = w.Created
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("job %d replayed as %+v, want %+v", i, got, w)
+		}
+	}
+}
+
 // FuzzReplayJournal: no input — valid, torn, hostile — may panic the
 // replayer or produce a job without an ID; the prefix before the first
 // bad line must survive.
@@ -164,6 +222,7 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02"))
 	f.Add([]byte(""))
 	f.Add([]byte(`{"t":"cancel","job":"j-000009"}` + "\n"))
+	f.Add([]byte(parentJournal))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

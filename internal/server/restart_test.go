@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"reese/internal/wal"
 )
 
 func TestRestartRecovery(t *testing.T) {
@@ -126,7 +128,7 @@ func TestRestartRecovery(t *testing.T) {
 // their causes over the API.
 func TestReplayKeepsTerminalStates(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "jobs.wal")
-	jl, err := openJournal(journalPath)
+	jl, err := wal.Open[journalRecord](journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestReplayKeepsTerminalStates(t *testing.T) {
 	mustAppend(t, jl, journalRecord{T: recSubmit, Job: "j-000007", Kind: "run", Key: "k7", Req: req})
 	mustAppend(t, jl, journalRecord{T: recStart, Job: "j-000007", Attempt: 1})
 	mustAppend(t, jl, journalRecord{T: recFail, Job: "j-000007", Attempt: 3, Cause: "panic: chaos (retries exhausted)"})
-	jl.close()
+	jl.Close()
 
 	s, ts := newTestServer(t, Config{JournalPath: journalPath})
 	v := getJob(t, ts.URL, "j-000007")

@@ -41,6 +41,7 @@ import (
 	"reese/internal/fault"
 	"reese/internal/harness"
 	"reese/internal/pipeline"
+	"reese/internal/wal"
 	"reese/internal/workload"
 )
 
@@ -155,7 +156,7 @@ type Server struct {
 	metrics  *Metrics
 	cache    *resultCache
 	jobs     *jobRunner
-	journal  *journal
+	journal  *wal.Log[journalRecord]
 	mux      *http.ServeMux
 	rootCtx  context.Context
 	stopRoot context.CancelFunc
@@ -214,10 +215,10 @@ func New(cfg Config) (*Server, error) {
 			stopRoot()
 			return nil, err
 		}
-		s.journal, err = openJournal(cfg.JournalPath)
+		s.journal, err = wal.Open[journalRecord](cfg.JournalPath)
 		if err != nil {
 			stopRoot()
-			return nil, err
+			return nil, fmt.Errorf("server: open journal: %w", err)
 		}
 	}
 
@@ -338,14 +339,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.jobs.drain(ctx)
 	if err != nil {
 		s.log.Warn("drain expired; cancelling in-flight jobs", "err", err)
-		s.journal.kill()
+		s.journal.Kill()
 	}
 	s.stopRoot()
 	s.jobs.wg.Wait()
 	if err == nil {
 		s.jobs.compactJournal()
 	}
-	s.journal.close()
+	s.journal.Close()
 	return err
 }
 
@@ -355,7 +356,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // on-disk journal. A Server built afterwards on the same JournalPath
 // replays whatever had been acknowledged.
 func (s *Server) Crash() {
-	s.journal.kill()
+	s.journal.Kill()
 	s.jobs.mu.Lock()
 	if !s.jobs.draining {
 		s.jobs.draining = true
@@ -364,7 +365,6 @@ func (s *Server) Crash() {
 	s.jobs.mu.Unlock()
 	s.stopRoot()
 	s.jobs.wg.Wait()
-	s.journal.close()
 }
 
 // statusRecorder captures the response code for logging and metrics.
