@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-all bench-smoke trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
+.PHONY: all build test test-race vet examples bench bench-all bench-smoke trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
 
 all: build test
 
@@ -14,6 +14,15 @@ vet:
 
 test: vet
 	$(GO) test ./...
+
+# Run every program under examples/ (five today) and fail on the first
+# non-zero exit: `go build ./...` compiles them, this runs them.
+examples:
+	@for d in examples/*/; do \
+		[ -f "$$d/main.go" ] || continue; \
+		echo "== $$d"; \
+		$(GO) run "./$$d" || exit 1; \
+	done
 
 # The full suite under the race detector (vets the workload build
 # cache, the harness worker pool, and the reese-serve job queue, cache,

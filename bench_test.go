@@ -153,7 +153,7 @@ func BenchmarkAblationRSQSize(b *testing.B) {
 
 func BenchmarkAblationPartialReexec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.PartialReexecSweep([]int{1, 2}, benchOptions()); err != nil {
+		if _, _, err := harness.PartialReexecSweep([]int{1, 2}, benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,8 +51,8 @@ func run() int {
 		reso       = flag.Bool("reso", false, "R stream recomputes with shifted operands (detects permanent FU faults)")
 		wrongPath  = flag.Bool("wrongpath", false, "model wrong-path execution after mispredictions")
 
-		faultSeq = flag.Uint64("fault-at", 0, "inject one bit flip into instruction #N (0 = none)")
-		faultBit = flag.Uint("fault-bit", 7, "bit position for -fault-at")
+		faultSeq = flag.Uint64("fault-at", 0, "flip one bit of the first comparator-observable result at or after instruction #N (0 = none)")
+		faultBit = flag.Uint("fault-bit", 7, "bit position (0-31) for -fault-at")
 
 		tracePath = flag.String("trace", "", "write a per-event pipeline trace to this file (- for stdout)")
 		traceOut  = flag.String("trace-out", "", "dump the flight recorder as Chrome trace-event JSON to this file (load in Perfetto)")
@@ -61,6 +61,10 @@ func run() int {
 		asJSON    = flag.Bool("json", false, "emit the result as JSON instead of text")
 	)
 	flag.Parse()
+	if *faultBit > 31 {
+		fmt.Fprintf(os.Stderr, "reese-sim: fault bit %d out of range [0,31]\n", *faultBit)
+		return 2
+	}
 
 	cfg := config.Starting()
 	if *ruuSize > 0 {
@@ -122,9 +126,13 @@ func run() int {
 		return 1
 	}
 
-	var injector fault.Injector = fault.None{}
+	var (
+		injector fault.Injector
+		at       *fault.AtStruct
+	)
 	if *faultSeq > 0 {
-		injector = &fault.AtSeq{Seq: *faultSeq, Bit: uint8(*faultBit)}
+		at = &fault.AtStruct{Struct: fault.StructResult, Seq: *faultSeq, Bit: uint8(*faultBit)}
+		injector = at
 	}
 
 	cpu, err := pipeline.New(cfg, prog, injector)
@@ -186,7 +194,7 @@ func run() int {
 			return 1
 		}
 	} else {
-		printResult(res, cfg.Reese.RSQSize)
+		printResult(res, cfg.Reese.RSQSize, at)
 		if *why {
 			printWhy(res)
 		}
@@ -243,7 +251,7 @@ func printWhy(r pipeline.Result) {
 	}
 }
 
-func printResult(r pipeline.Result, cfgRSQ int) {
+func printResult(r pipeline.Result, cfgRSQ int, at *fault.AtStruct) {
 	fmt.Printf("workload:          %s\n", r.Workload)
 	fmt.Printf("config:            %s\n", r.Config)
 	if r.FastForwarded > 0 {
@@ -273,9 +281,9 @@ func printResult(r pipeline.Result, cfgRSQ int) {
 		fmt.Printf("rsq occupancy:     mean=%.1f max=%d of %d\n",
 			r.RSQOccupancyMean, r.RSQOccupancyMax, cfgRSQ)
 	}
-	if r.FaultsInjected > 0 {
-		fmt.Printf("faults:            injected=%d detected=%d silent=%d recoveries=%d\n",
-			r.FaultsInjected, r.FaultsDetected, r.FaultsSilent, r.Recoveries)
+	if at != nil && at.Fired() {
+		fmt.Printf("fault:             bit %d at #%d, detected=%d recoveries=%d\n",
+			at.Bit, at.FiredSeq(), r.FaultsDetected, r.Recoveries)
 		if r.FaultsDetected > 0 {
 			fmt.Printf("detection latency: mean=%.1f max=%d cycles\n",
 				r.DetectionLatencyMean, r.DetectionLatencyMax)

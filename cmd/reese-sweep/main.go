@@ -152,7 +152,7 @@ func run() int {
 		if err != nil {
 			return emit("", err)
 		}
-		partial, err := harness.PartialReexecSweep([]int{1, 2, 4, 8}, opt)
+		partial, _, err := harness.PartialReexecSweep([]int{1, 2, 4, 8}, opt)
 		if err != nil {
 			return emit("", err)
 		}

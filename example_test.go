@@ -50,7 +50,6 @@ func ExampleAssemble() {
 func ExampleFaultAt() {
 	prog, _ := reese.Workload("li", 0)
 	res, _ := reese.Run(reese.StartingConfig().WithReese(), prog, reese.FaultAt(1000, 6), 20_000)
-	fmt.Printf("injected=%d detected=%d recoveries=%d\n",
-		res.FaultsInjected, res.FaultsDetected, res.Recoveries)
-	// Output: injected=1 detected=1 recoveries=1
+	fmt.Printf("detected=%d recoveries=%d\n", res.FaultsDetected, res.Recoveries)
+	// Output: detected=1 recoveries=1
 }

@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-28s detected %d/%d\n", s.label, res.FaultsDetected, res.FaultsInjected)
+		fmt.Printf("  %-28s detected %d, recovered %d\n", s.label, res.FaultsDetected, res.Recoveries)
 	}
 	fmt.Println("But a fault corrupting BOTH executions identically (a permanent")
 	fmt.Println("fault in a shared structure) only fools the pair comparator:")

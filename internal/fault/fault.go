@@ -19,8 +19,8 @@ const NoBit uint8 = 255
 // Struct names the microarchitectural structure a fault corrupts.
 type Struct uint8
 
-// Fault target structures. StructResult is the zero value so legacy
-// Injection literals keep their meaning (a latched-result flip).
+// Fault target structures. StructResult is the zero value, so an
+// Injection literal without a Struct is a latched-result flip.
 const (
 	// StructResult flips a bit in the latched P-stream outcome: the
 	// destination-register value, or the next-PC for result-less control
@@ -56,7 +56,7 @@ const (
 	StructComparator
 
 	// Memory-hierarchy structures — outside the sphere of replication.
-	// These fire through the MemSiteInjector hook and carry a victim
+	// These fire through the MemStep hook and carry a victim
 	// address (AtStruct.Addr) in addition to the sequence number.
 
 	// StructMemWord flips a bit of one architectural main-memory word.
@@ -139,7 +139,7 @@ func (s Struct) NeedsRSQ() bool {
 }
 
 // InMemHierarchy reports whether the structure lives in the memory
-// hierarchy (fires through the MemSiteInjector hook and needs a victim
+// hierarchy (fires through the MemStep hook and needs a victim
 // address).
 func (s Struct) InMemHierarchy() bool {
 	switch s {
@@ -197,17 +197,28 @@ func Structures(rsq bool) []Struct {
 type Injection struct {
 	Struct Struct
 	Bit    uint8
-	// Reg selects the victim register for StructRegFile.
-	Reg uint8
 }
 
-// Injector decides, per completing P-stream instruction, whether to
-// inject a fault.
+// Injector places soft errors at the pipeline's four hook sites. Each
+// method is called at its site and reports whether a fault fired there;
+// AtStruct fires once, at the site its structure lives in. The pipeline
+// holds one nil-gated Injector, so fault-free runs (nil or None) pay a
+// nil check per site and nothing more.
 type Injector interface {
-	// Decide is called once per P-stream completion with the
-	// instruction's sequence number and oracle trace. Returning ok=false
-	// injects nothing.
+	// Decide is the writeback latch site, called once per P-stream
+	// completion with the instruction's sequence number and oracle
+	// trace. Returning ok=false injects nothing.
 	Decide(seq uint64, tr emu.Trace) (Injection, bool)
+	// OracleStep is called before each oracle instruction executes, with
+	// the oracle's instruction count; a fired fault corrupts architectural
+	// state directly (regfile, fetch PC).
+	OracleStep(icount uint64, arch ArchState) bool
+	// RSQEnqueue is called as each instruction's entry is appended to the
+	// R-stream Queue; a fired fault corrupts the stored copies.
+	RSQEnqueue(seq uint64, tr emu.Trace) (RSQCorruption, bool)
+	// MemStep is called before each oracle instruction executes; a fired
+	// fault perturbs the memory hierarchy through mp.
+	MemStep(icount uint64, mp MemPlane) bool
 }
 
 // ArchState is the slice of architectural state an oracle-site fault can
@@ -233,20 +244,6 @@ type RSQCorruption struct {
 	StoreMask      uint32
 	CompIgnoreMask uint32
 	Bit            uint8
-}
-
-// SiteInjector extends Injector with the structure-addressed hook sites.
-// The pipeline type-asserts its injector once at construction; plain
-// Injectors only see the writeback latch site.
-type SiteInjector interface {
-	Injector
-	// OracleStep is called before each oracle instruction executes, with
-	// the oracle's instruction count; a fired fault corrupts architectural
-	// state directly (regfile, fetch PC).
-	OracleStep(icount uint64, arch ArchState) bool
-	// RSQEnqueue is called as each instruction's entry is appended to the
-	// R-stream Queue; a fired fault corrupts the stored copies.
-	RSQEnqueue(seq uint64, tr emu.Trace) (RSQCorruption, bool)
 }
 
 // CacheSel selects a cache level for a memory-hierarchy fault.
@@ -296,21 +293,22 @@ type MemPlane interface {
 	TLBEntryFlip(data bool, addr uint32, bit uint8) bool
 }
 
-// MemSiteInjector is a SiteInjector that can also fire into the memory
-// hierarchy. The pipeline type-asserts for it once and calls MemStep
-// through a narrow nil-gated hook, like the other sites.
-type MemSiteInjector interface {
-	SiteInjector
-	// MemStep is called before each oracle instruction executes; a fired
-	// fault perturbs the memory hierarchy through mp.
-	MemStep(icount uint64, mp MemPlane) bool
-}
-
-// None never injects. The zero value is ready to use.
+// None never injects. The zero value is ready to use, and the pipeline
+// treats it as no injector at all. Embed it in an injector that fires at
+// only some of the sites.
 type None struct{}
 
 // Decide implements Injector.
 func (None) Decide(uint64, emu.Trace) (Injection, bool) { return Injection{}, false }
+
+// OracleStep implements Injector.
+func (None) OracleStep(uint64, ArchState) bool { return false }
+
+// RSQEnqueue implements Injector.
+func (None) RSQEnqueue(uint64, emu.Trace) (RSQCorruption, bool) { return RSQCorruption{}, false }
+
+// MemStep implements Injector.
+func (None) MemStep(uint64, MemPlane) bool { return false }
 
 // ComparatorObserves reports whether the RSQ comparator has anything to
 // check for tr: a register result, a store value, or a control-transfer
@@ -351,7 +349,7 @@ type AtStruct struct {
 	eccDetected  bool
 }
 
-var _ MemSiteInjector = (*AtStruct)(nil)
+var _ Injector = (*AtStruct)(nil)
 
 // Fired reports whether the fault has been injected.
 func (a *AtStruct) Fired() bool { return a.fired }
@@ -509,94 +507,6 @@ func (a *AtStruct) MemStep(icount uint64, mp MemPlane) bool {
 	return fired
 }
 
-// AtSeq injects a single fault into the instruction with the given
-// sequence number. The zero Bit flips bit 0.
-type AtSeq struct {
-	Seq    uint64
-	Bit    uint8
-	Struct Struct
-
-	fired bool
-}
-
-// Decide implements Injector.
-func (a *AtSeq) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
-	if a.fired || seq != a.Seq {
-		return Injection{}, false
-	}
-	a.fired = true
-	return Injection{Bit: a.Bit % 32, Struct: a.Struct}, true
-}
-
-// Fired reports whether the fault has been injected.
-func (a *AtSeq) Fired() bool { return a.fired }
-
-// Periodic injects a fault every Interval instructions, cycling through
-// bit positions. It drives fault-injection campaigns.
-type Periodic struct {
-	// Interval is the sequence-number spacing between injections.
-	Interval uint64
-	// Start offsets the first injection.
-	Start uint64
-
-	injected uint64
-}
-
-// Decide implements Injector.
-func (p *Periodic) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
-	if p.Interval == 0 || seq < p.Start || (seq-p.Start)%p.Interval != 0 {
-		return Injection{}, false
-	}
-	p.injected++
-	return Injection{Bit: uint8(p.injected % 32)}, true
-}
-
-// Injected returns how many faults have been injected.
-func (p *Periodic) Injected() uint64 { return p.injected }
-
-// Random injects faults with a fixed per-instruction probability using a
-// deterministic xorshift PRNG, so campaigns are reproducible.
-type Random struct {
-	// PerInst is the injection probability per instruction, expressed as
-	// numerator over 2^32 (e.g. 1<<22 ≈ 1 in 1024).
-	PerInst uint32
-
-	state    uint64
-	injected uint64
-}
-
-// NewRandom builds a Random injector with probability num/2^32 per
-// instruction and the given seed (0 is replaced with a fixed constant).
-func NewRandom(num uint32, seed uint64) *Random {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &Random{PerInst: num, state: seed}
-}
-
-func (r *Random) next() uint64 {
-	// xorshift64*.
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.state = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-// Decide implements Injector.
-func (r *Random) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
-	v := r.next()
-	if uint32(v) >= r.PerInst {
-		return Injection{}, false
-	}
-	r.injected++
-	return Injection{Bit: uint8(v>>32) % 32}, true
-}
-
-// Injected returns how many faults have been injected.
-func (r *Random) Injected() uint64 { return r.injected }
-
 // StuckUnit models a permanent fault in one functional unit: every
 // operation executed on unit Unit of kind Kind has bit Bit of its result
 // flipped. Unlike the transient Injector faults, this corrupts BOTH the
@@ -668,8 +578,10 @@ func (o Outcome) String() string {
 
 // Apply corrupts the latched P-stream outcomes of tr according to inj,
 // returning the corrupted (result, nextPC, addr, storeValue) tuple. The
-// faulted field depends on the target structure and instruction kind,
-// mirroring where a transient in the datapath would land.
+// faulted field mirrors where a transient in the datapath would land:
+// an LSQ address fault flips a memory operation's address; every other
+// flip lands in the store value, the register result, or — for
+// result-less control transfers and halt/out — the next PC.
 func Apply(inj Injection, tr emu.Trace) (result, nextPC, addr, storeValue uint32) {
 	result = tr.Result
 	nextPC = tr.NextPC
@@ -680,36 +592,12 @@ func Apply(inj Injection, tr emu.Trace) (result, nextPC, addr, storeValue uint32
 	switch {
 	case inj.Struct == StructLSQAddr && op.IsMem():
 		addr ^= mask
-	case inj.Struct == StructLSQStoreData && op.IsStore():
+	case op.IsStore():
 		storeValue ^= mask
-	case inj.Struct == StructLSQAddr || inj.Struct == StructLSQStoreData:
-		// An LSQ fault aimed at a non-memory instruction: nothing to
-		// corrupt in the latch plane; fall through to the result so the
-		// injection is never silently dropped.
-		fallthrough
-	case inj.Struct == StructResult:
-		switch {
-		case op.IsStore():
-			storeValue ^= mask
-		case op.IsControl() && !tr.HasResult:
-			nextPC ^= mask
-		case tr.HasResult:
-			result ^= mask
-		default:
-			// halt/out and friends: fault the next PC (control corruption).
-			nextPC ^= mask
-		}
+	case tr.HasResult:
+		result ^= mask
 	default:
-		// Oracle- and RSQ-site structures never reach Apply; treat any
-		// stray injection as a result fault.
-		switch {
-		case op.IsStore():
-			storeValue ^= mask
-		case tr.HasResult:
-			result ^= mask
-		default:
-			nextPC ^= mask
-		}
+		nextPC ^= mask
 	}
 	return result, nextPC, addr, storeValue
 }

@@ -11,17 +11,26 @@ import (
 func TestNoneNeverFires(t *testing.T) {
 	var n None
 	for i := uint64(0); i < 1000; i++ {
-		if _, ok := n.Decide(i, emu.Trace{}); ok {
-			t.Fatal("None injected")
+		if _, ok := n.Decide(i, aluTrace()); ok {
+			t.Fatal("None injected at the latch site")
+		}
+		if n.OracleStep(i, &recordingArch{}) {
+			t.Fatal("None injected at the oracle site")
+		}
+		if _, ok := n.RSQEnqueue(i, aluTrace()); ok {
+			t.Fatal("None injected at the RSQ site")
+		}
+		if n.MemStep(i, nil) {
+			t.Fatal("None injected at the memory site")
 		}
 	}
 }
 
-func TestAtSeqFiresExactlyOnce(t *testing.T) {
-	a := &AtSeq{Seq: 42, Bit: 5}
+func TestAtStructFiresExactlyOnce(t *testing.T) {
+	a := &AtStruct{Struct: StructResult, Seq: 42, Bit: 5}
 	fired := 0
 	for i := uint64(0); i < 100; i++ {
-		if inj, ok := a.Decide(i, emu.Trace{}); ok {
+		if inj, ok := a.Decide(i, aluTrace()); ok {
 			fired++
 			if i != 42 {
 				t.Errorf("fired at %d", i)
@@ -31,69 +40,12 @@ func TestAtSeqFiresExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	if fired != 1 || !a.Fired() {
-		t.Errorf("fired %d times", fired)
+	if fired != 1 || !a.Fired() || a.FiredSeq() != 42 {
+		t.Errorf("fired %d times, FiredSeq %d", fired, a.FiredSeq())
 	}
 	// Even if seq 42 repeats (replay), it must not re-fire.
-	if _, ok := a.Decide(42, emu.Trace{}); ok {
+	if _, ok := a.Decide(42, aluTrace()); ok {
 		t.Error("re-fired on replay")
-	}
-}
-
-func TestPeriodic(t *testing.T) {
-	p := &Periodic{Interval: 10, Start: 5}
-	var fires []uint64
-	for i := uint64(0); i < 50; i++ {
-		if _, ok := p.Decide(i, emu.Trace{}); ok {
-			fires = append(fires, i)
-		}
-	}
-	want := []uint64{5, 15, 25, 35, 45}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v", fires)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Errorf("fires = %v, want %v", fires, want)
-		}
-	}
-	if p.Injected() != 5 {
-		t.Errorf("injected = %d", p.Injected())
-	}
-	zero := &Periodic{}
-	if _, ok := zero.Decide(0, emu.Trace{}); ok {
-		t.Error("zero interval must never fire")
-	}
-}
-
-func TestRandomDeterministic(t *testing.T) {
-	r1 := NewRandom(1<<28, 7)
-	r2 := NewRandom(1<<28, 7)
-	for i := uint64(0); i < 2000; i++ {
-		_, ok1 := r1.Decide(i, emu.Trace{})
-		_, ok2 := r2.Decide(i, emu.Trace{})
-		if ok1 != ok2 {
-			t.Fatal("same seed must give same decisions")
-		}
-	}
-	if r1.Injected() == 0 {
-		t.Error("probability 1/16 over 2000 trials should fire")
-	}
-	if r1.Injected() != r2.Injected() {
-		t.Error("counts differ")
-	}
-}
-
-func TestRandomRateRoughlyCorrect(t *testing.T) {
-	// p = 1/8 per instruction.
-	r := NewRandom(1<<29, 123)
-	n := uint64(40000)
-	for i := uint64(0); i < n; i++ {
-		r.Decide(i, emu.Trace{})
-	}
-	rate := float64(r.Injected()) / float64(n)
-	if rate < 0.10 || rate > 0.15 {
-		t.Errorf("rate = %.4f, want ~0.125", rate)
 	}
 }
 

@@ -78,34 +78,29 @@ func HighWaterSweep(marks []int, opt Options) (string, map[int]float64, error) {
 // DetectionLatencyVsRSQ measures how the RSQ size stretches the
 // P-to-R-execution separation — the Δt of the paper's §2 argument: a
 // longer separation tolerates longer-lived transients, at the cost of
-// delaying every commit.
+// delaying every commit. Latencies come from a seeded result-fault
+// campaign on gcc (resultCampaign), IPC from a clean run. The map holds
+// the mean detection latency per size.
 func DetectionLatencyVsRSQ(sizes []int, opt Options) (string, map[int]float64, error) {
 	opt = opt.normalize()
 	out := make(map[int]float64, len(sizes))
-	t := stats.NewTable("Ablation: detection latency vs R-stream Queue size (gcc, faults every 5k insts)",
+	t := stats.NewTable("Ablation: detection latency vs R-stream Queue size (gcc, seeded result-fault campaign)",
 		"rsq size", "mean detect cycles", "p95", "max", "IPC")
 	for _, size := range sizes {
 		cfg := config.Starting().WithReese().WithRSQ(size)
-		spec, _ := workload.ByName("gcc")
-		prog, err := spec.Build(spec.DefaultIters * 2)
+		rep, err := resultCampaign(cfg, "gcc", opt)
 		if err != nil {
 			return "", nil, err
 		}
-		inj := &fault.Periodic{Interval: 5_000, Start: 2_500}
-		cpu, err := pipeline.New(cfg, prog, inj)
+		res, err := runOne(cfg, "gcc", opt)
 		if err != nil {
 			return "", nil, err
 		}
-		res, err := cpu.Run(opt.Insts)
-		if err != nil {
-			return "", nil, err
-		}
-		h := cpu.DetectionLatencies()
-		out[size] = res.DetectionLatencyMean
+		out[size] = rep.DetectionLatencyMean
 		t.AddRow(fmt.Sprint(size),
-			fmt.Sprintf("%.1f", res.DetectionLatencyMean),
-			fmt.Sprint(h.Percentile(95)),
-			fmt.Sprint(res.DetectionLatencyMax),
+			fmt.Sprintf("%.1f", rep.DetectionLatencyMean),
+			fmt.Sprint(rep.DetectionLatencyP95),
+			fmt.Sprint(rep.DetectionLatencyMax),
 			fmt.Sprintf("%.3f", res.IPC))
 	}
 	return t.String(), out, nil

@@ -1221,58 +1221,55 @@ func RSQSweep(sizes []int, opt Options) (string, map[int]float64, error) {
 
 // PartialReexecSweep is the paper's §7 future-work experiment:
 // re-execute only one in every n instructions, trading coverage for
-// speed. Coverage is measured with randomly-placed faults (a periodic
-// injector would alias with the deterministic skip pattern and report
-// all-or-nothing coverage).
-func PartialReexecSweep(everies []int, opt Options) (string, error) {
+// speed. Coverage is the share of a seeded result-fault campaign's
+// fired faults the comparator catches (resultCampaign); random victims
+// cannot alias with the deterministic skip pattern. The campaign's
+// oracle coverage (caught over effective) would read 100% at every n:
+// the timing model is trace-driven, so an unchecked flip reaches only
+// its own register, which a later write almost always overwrites, and
+// the oracle classifies it masked. The map holds the coverage per n.
+func PartialReexecSweep(everies []int, opt Options) (string, map[int]float64, error) {
 	opt = opt.normalize()
+	out := make(map[int]float64, len(everies))
 	t := stats.NewTable("Ablation: partial re-execution (paper §7 future work)",
 		"re-execute 1/N", "avg IPC", "gap vs baseline %", "coverage of injected faults")
 	baseAvg, err := averageIPC(config.Starting(), opt)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	for _, n := range everies {
 		cfg := config.Starting().WithReese().WithPartialReexec(n)
 		avg, err := averageIPC(cfg, opt)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
-		coverage, err := randomFaultCoverage(cfg, "gcc", opt)
+		rep, err := resultCampaign(cfg, "gcc", opt)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
+		var caught float64
+		if rep.Fired > 0 {
+			caught = float64(rep.Detected+rep.Recovered) / float64(rep.Fired)
+		}
+		out[n] = caught
 		t.AddRow(fmt.Sprintf("1/%d", n), fmt.Sprintf("%.3f", avg),
 			fmt.Sprintf("%.1f", stats.PercentDelta(baseAvg, avg)),
-			fmt.Sprintf("%.0f%%", coverage*100))
+			fmt.Sprintf("%.0f%%", caught*100))
 	}
-	return t.String(), nil
+	return t.String(), out, nil
 }
 
-// randomFaultCoverage injects randomly-placed faults (roughly one per
-// 2000 instructions) and returns the detected fraction.
-func randomFaultCoverage(cfg config.Machine, workloadName string, opt Options) (float64, error) {
-	spec, ok := workload.ByName(workloadName)
-	if !ok {
-		return 0, fmt.Errorf("unknown workload %q", workloadName)
-	}
-	prog, err := spec.Build(spec.DefaultIters * 2)
-	if err != nil {
-		return 0, err
-	}
-	inj := fault.NewRandom(1<<32/2000, 0xFEED)
-	cpu, err := pipeline.New(cfg, prog, inj)
-	if err != nil {
-		return 0, err
-	}
-	res, err := cpu.Run(opt.Insts)
-	if err != nil {
-		return 0, err
-	}
-	if res.FaultsInjected == 0 {
-		return 0, nil
-	}
-	return float64(res.FaultsDetected) / float64(res.FaultsInjected), nil
+// resultCampaign is the seeded campaign behind the coverage and
+// detection-latency ablations: 200 latched-result faults (the paper's
+// §2 fault model) on a golden run of the default campaign length.
+func resultCampaign(cfg config.Machine, workloadName string, opt Options) (*CampaignReport, error) {
+	return Campaign(CampaignSpec{
+		Workload:   workloadName,
+		Machine:    cfg,
+		Structures: []fault.Struct{fault.StructResult},
+		Injections: 200,
+		Seed:       0xFEED,
+	}, opt)
 }
 
 // IdleCapacity measures the §4.1 premise: the fraction of issue slots
@@ -1307,47 +1304,43 @@ type BitGridResult struct {
 	NotFired bool
 }
 
-// BitGrid injects one fault per bit position (0-31) at a fixed point in
-// the workload and reports detection per position — demonstrating the
-// comparator's single-bit completeness on real pipeline timing rather
-// than in unit isolation.
+// BitGrid injects one latched-result fault per bit position (0-31) at
+// the first comparator-observable instruction at or after atSeq and
+// reports detection per position — demonstrating the comparator's
+// single-bit completeness on real pipeline timing rather than in unit
+// isolation. The 32 trials run on the campaign engine against a golden
+// run of at least atSeq+20000 instructions.
 func BitGrid(cfg config.Machine, workloadName string, atSeq uint64, opt Options) ([]BitGridResult, error) {
 	opt = opt.normalize()
-	spec, ok := workload.ByName(workloadName)
+	wspec, ok := workload.ByName(workloadName)
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q", workloadName)
 	}
-	out := make([]BitGridResult, 32)
-	err := forEach(32, opt.Parallel, func(i int) error {
-		bit := uint8(i)
-		prog, err := spec.Build(spec.DefaultIters)
-		if err != nil {
-			return err
-		}
-		inj := &fault.AtSeq{Seq: atSeq, Bit: bit}
-		cpu, err := pipeline.New(cfg, prog, inj)
-		if err != nil {
-			return err
-		}
-		res, err := cpu.Run(atSeq + 20_000)
-		if err != nil {
-			return err
-		}
-		cell := BitGridResult{Bit: bit}
-		if !inj.Fired() {
-			// The program ended before the injection point: there is no
-			// fault to detect, and reporting a missed detection would be
-			// a lie.
-			cell.NotFired = true
-		} else if res.FaultsDetected == 1 {
-			cell.Detected = true
-			cell.Latency = uint64(res.DetectionLatencyMean)
-		}
-		out[i] = cell
-		return nil
+	spec, _ := CampaignSpec{Workload: workloadName, Machine: cfg, TargetInsts: atSeq + 20_000}.withDefaults()
+	bundle, err := bundleForSpec(spec, wspec)
+	if err != nil {
+		return nil, err
+	}
+	trials := make([]Trial, 32)
+	err = forEach(len(trials), opt.Parallel, func(i int) error {
+		trials[i] = Trial{Index: i, Structure: fault.StructResult.String(), Seq: atSeq, Bit: uint8(i)}
+		return bundle.runTrial(opt.Ctx, &trials[i], opt)
 	})
 	if err != nil {
 		return nil, err
+	}
+	out := make([]BitGridResult, len(trials))
+	for i, t := range trials {
+		out[i].Bit = t.Bit
+		switch {
+		case !t.Fired:
+			// The program ended before the injection point: there is no
+			// fault to detect, and reporting a missed detection would be
+			// a lie.
+			out[i].NotFired = true
+		case t.outcome == fault.OutcomeDetected || t.outcome == fault.OutcomeRecovered:
+			out[i].Detected, out[i].Latency = true, t.Latency
+		}
 	}
 	return out, nil
 }

@@ -268,7 +268,7 @@ func TestRSQSweep(t *testing.T) {
 }
 
 func TestPartialReexecSweep(t *testing.T) {
-	tbl, err := PartialReexecSweep([]int{1, 2, 4}, testOptions())
+	tbl, coverage, err := PartialReexecSweep([]int{1, 2, 4}, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +276,15 @@ func TestPartialReexecSweep(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("partial-reexec table missing %q:\n%s", want, tbl)
 		}
+	}
+	// The §7 trade: full re-execution catches every consequential
+	// result fault; re-executing one instruction in four gives up
+	// coverage for speed.
+	if coverage[1] != 1 {
+		t.Errorf("result-fault coverage at 1/1 = %.3f, want 1", coverage[1])
+	}
+	if coverage[4] >= coverage[1] {
+		t.Errorf("coverage at 1/4 (%.3f) should be below 1/1 (%.3f)", coverage[4], coverage[1])
 	}
 }
 

@@ -202,9 +202,7 @@ type hangCounters struct {
 	wpFetched              uint64
 	wpSquashed             uint64
 	rsqOccSum              uint64
-	injected               uint64
 	detected               uint64
-	silent                 uint64
 	recoveries             uint64
 }
 
@@ -219,9 +217,7 @@ func (c *CPU) hangCounters() hangCounters {
 		wpFetched:              c.wpFetched,
 		wpSquashed:             c.wpSquashed,
 		rsqOccSum:              c.rsqOccSum,
-		injected:               c.injected,
 		detected:               c.detected,
-		silent:                 c.silent,
 		recoveries:             c.recoveries,
 	}
 }
@@ -285,9 +281,7 @@ func (c *CPU) tryHangFastForward(g *CPU) bool {
 	c.wpFetched += (cur.wpFetched - prev.wpFetched) * k
 	c.wpSquashed += (cur.wpSquashed - prev.wpSquashed) * k
 	c.rsqOccSum += (cur.rsqOccSum - prev.rsqOccSum) * k
-	c.injected += (cur.injected - prev.injected) * k
 	c.detected += (cur.detected - prev.detected) * k
-	c.silent += (cur.silent - prev.silent) * k
 	c.recoveries += (cur.recoveries - prev.recoveries) * k
 	c.detectLat.ExtrapolateFrom(g.detectLat, k)
 	for s := range c.stalls.Used {

@@ -90,15 +90,11 @@ type CPU struct {
 	// completed; they occupy window slots (see windowFree).
 	rLive int
 
+	// injector supplies transient faults at the four hook sites
+	// (writeback latch, oracle step, RSQ enqueue, memory hierarchy). New
+	// and Fork store nil for a nil or fault.None injector, so fault-free
+	// runs pay a nil check per site instead of an interface call.
 	injector fault.Injector
-	// sites is non-nil when injector also implements the
-	// structure-addressed hook sites (oracle step, RSQ enqueue); set once
-	// in New so the hot path pays a nil check, not a type assertion.
-	sites fault.SiteInjector
-	// memSites is non-nil when injector can additionally fire into the
-	// memory hierarchy (cache/TLB/memory-word faults); same nil-gated
-	// hook pattern as sites.
-	memSites fault.MemSiteInjector
 	// stuck, when non-nil, is a permanent single-unit fault (see
 	// fault.StuckUnit and SetStuckUnit).
 	stuck *fault.StuckUnit
@@ -223,9 +219,7 @@ type CPU struct {
 	progressSeen uint64
 
 	// Fault bookkeeping.
-	injected    uint64
 	detected    uint64
-	silent      uint64 // faults committed without detection (baseline)
 	detectLat   *stats.Histogram
 	recoveries  uint64
 	lastBadPC   uint32
@@ -296,7 +290,7 @@ func (c *CPU) fetchQAt(i int) *fetchEntry {
 func (c *CPU) fetchQClear() { c.fetchHead, c.fetchLen = 0, 0 }
 
 // New builds a CPU for prog under machine configuration cfg, with
-// injector supplying soft errors (pass fault.None{} for none).
+// injector supplying soft errors (nil or fault.None{} for none).
 func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -346,20 +340,13 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 		ras:       ras,
 		ruu:       r,
 		lsq:       lsq,
-		injector:  injector,
 		detectLat: stats.NewHistogram(1),
 		hangLimit: DefaultHangLimit,
 		storeHash: emu.DigestSeed,
 	}
 	c.shadowRegs[isa.RegSP] = program.StackTop
-	if injector == nil {
-		c.injector = fault.None{}
-	}
-	if s, ok := c.injector.(fault.SiteInjector); ok {
-		c.sites = s
-	}
-	if m, ok := c.injector.(fault.MemSiteInjector); ok {
-		c.memSites = m
+	if _, none := injector.(fault.None); !none {
+		c.injector = injector
 	}
 	c.hier.SetWordPlane(c.oracle.Mem())
 	if cfg.Reese.Enabled {
@@ -431,10 +418,10 @@ type Result struct {
 	RSQOccupancyMean float64
 	RSQOccupancyMax  uint64
 
-	// Fault-injection outcome.
-	FaultsInjected uint64
+	// Fault-injection outcome: comparator detections and the recoveries
+	// they triggered. Whether a fault fired is the injector's to report
+	// (fault.AtStruct.Fired).
 	FaultsDetected uint64
-	FaultsSilent   uint64
 	Recoveries     uint64
 	// DetectionLatency summarises cycles from injection to detection.
 	DetectionLatencyMean float64
@@ -721,9 +708,7 @@ func (c *CPU) result() Result {
 		WrongPathFetched:  c.wpFetched,
 		WrongPathSquashed: c.wpSquashed,
 
-		FaultsInjected: c.injected,
 		FaultsDetected: c.detected,
-		FaultsSilent:   c.silent,
 		Recoveries:     c.recoveries,
 	}
 	if c.cycle > 0 {
@@ -752,10 +737,6 @@ func (c *CPU) result() Result {
 	res.Mix = c.mix()
 	return res
 }
-
-// DetectionLatencies exposes the detection-latency histogram for
-// campaign analysis.
-func (c *CPU) DetectionLatencies() *stats.Histogram { return c.detectLat }
 
 // CommitDigest summarizes the architectural work the timing machine
 // actually committed: shadow register files rebuilt from latched

@@ -22,10 +22,10 @@ func TestDupDispatchCorrectness(t *testing.T) {
 func TestDupDispatchDetectsFaults(t *testing.T) {
 	src := loopProgram(300)
 	want := oracleCount(t, src)
-	inj := &fault.AtSeq{Seq: 200, Bit: 9}
+	inj := &fault.AtStruct{Seq: 200, Bit: 9}
 	res := runOn(t, config.Starting().WithDupDispatch(), src, inj)
-	if res.FaultsInjected != 1 {
-		t.Fatalf("injected %d", res.FaultsInjected)
+	if !inj.Fired() {
+		t.Fatal("fault did not fire")
 	}
 	if res.FaultsDetected != 1 {
 		t.Errorf("detected %d, want 1", res.FaultsDetected)
@@ -117,8 +117,11 @@ func TestDupDispatchCommonModeBlindSpot(t *testing.T) {
 	if res.PermError {
 		t.Error("identically-corrupted pairs cannot be distinguished; no permanent-error stop expected")
 	}
-	if res.FaultsSilent == 0 {
-		t.Error("common-mode corruption should retire silently (and be counted)")
+	if res.FaultsDetected != 0 {
+		t.Errorf("identical pairs compared unequal %d times", res.FaultsDetected)
+	}
+	if _, clean := runDigest(t, config.Starting().WithDupDispatch(), src, nil); cpu.CommitDigest() == clean {
+		t.Error("common-mode corruption should retire silently into the committed state")
 	}
 
 	// The same fault on the REESE machine is detected every time and

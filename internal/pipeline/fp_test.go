@@ -64,10 +64,10 @@ func TestFPThroughReesePipeline(t *testing.T) {
 func TestFPFaultDetected(t *testing.T) {
 	src := fpLoop(300)
 	want := oracleCount(t, src)
-	inj := &fault.AtSeq{Seq: 500, Bit: 22} // a mantissa bit
+	inj := &fault.AtStruct{Seq: 500, Bit: 22} // a mantissa bit
 	res := runOn(t, config.Starting().WithReese(), src, inj)
-	if res.FaultsInjected != 1 || res.FaultsDetected != 1 {
-		t.Errorf("FP fault: injected=%d detected=%d", res.FaultsInjected, res.FaultsDetected)
+	if !inj.Fired() || res.FaultsDetected != 1 {
+		t.Errorf("FP fault: fired=%v detected=%d", inj.Fired(), res.FaultsDetected)
 	}
 	if res.Committed != want {
 		t.Errorf("committed %d, want %d after recovery", res.Committed, want)

@@ -310,7 +310,7 @@ func TestPipelineMatchesEmulatorOutput(t *testing.T) {
 	}{
 		{"baseline", config.Starting(), nil},
 		{"reese", config.Starting().WithReese(), nil},
-		{"reese+faults", config.Starting().WithReese(), &fault.Periodic{Interval: 200, Start: 100}},
+		{"reese+faults", config.Starting().WithReese(), &periodic{interval: 200, start: 100}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cpu, err := New(tt.cfg, mustProg(t, src), tt.inj)
@@ -511,7 +511,7 @@ func TestCommittedInstructionMix(t *testing.T) {
 // rests on.
 func TestSimulationDeterminism(t *testing.T) {
 	run := func() Result {
-		cpu, err := New(config.Starting().WithReese(), mustProg(t, loopProgram(500)), &fault.Periodic{Interval: 700, Start: 100})
+		cpu, err := New(config.Starting().WithReese(), mustProg(t, loopProgram(500)), &periodic{interval: 700, start: 100})
 		if err != nil {
 			t.Fatal(err)
 		}

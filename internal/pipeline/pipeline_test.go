@@ -263,19 +263,20 @@ func TestStoreLoadForwarding(t *testing.T) {
 func TestReeseFaultDetectionAndRecovery(t *testing.T) {
 	src := loopProgram(200)
 	want := oracleCount(t, src)
-	inj := &fault.AtSeq{Seq: 100, Bit: 7}
-	res := runOn(t, config.Starting().WithReese(), src, inj)
+	inj := &fault.AtStruct{Seq: 100, Bit: 7}
+	res, dig := runDigest(t, config.Starting().WithReese(), src, inj)
+	_, clean := runDigest(t, config.Starting().WithReese(), src, nil)
 	if !res.Halted {
 		t.Fatal("did not halt after recovery")
 	}
-	if res.FaultsInjected != 1 {
-		t.Fatalf("injected %d faults, want 1", res.FaultsInjected)
+	if !inj.Fired() {
+		t.Fatal("fault did not fire")
 	}
 	if res.FaultsDetected != 1 {
 		t.Errorf("detected %d faults, want 1", res.FaultsDetected)
 	}
-	if res.FaultsSilent != 0 {
-		t.Errorf("silent faults %d, want 0", res.FaultsSilent)
+	if dig != clean {
+		t.Error("recovered run's committed state differs from the fault-free run's")
 	}
 	if res.Recoveries != 1 {
 		t.Errorf("recoveries %d, want 1", res.Recoveries)
@@ -293,22 +294,29 @@ func TestReeseFaultDetectionAndRecovery(t *testing.T) {
 
 func TestBaselineFaultIsSilent(t *testing.T) {
 	src := loopProgram(200)
-	inj := &fault.AtSeq{Seq: 100, Bit: 3}
-	res := runOn(t, config.Starting(), src, inj)
-	if res.FaultsInjected != 1 {
-		t.Fatalf("injected %d", res.FaultsInjected)
+	// The victim is the loop's final accumulator update (the last
+	// iteration's add r2, four instructions before the end): nothing
+	// overwrites it, so the corruption must reach the committed state.
+	inj := &fault.AtStruct{Seq: oracleCount(t, src) - 4, Bit: 3}
+	res, dig := runDigest(t, config.Starting(), src, inj)
+	_, clean := runDigest(t, config.Starting(), src, nil)
+	if !inj.Fired() {
+		t.Fatal("fault did not fire")
 	}
 	if res.FaultsDetected != 0 {
 		t.Errorf("baseline detected %d faults; it has no comparator", res.FaultsDetected)
 	}
-	if res.FaultsSilent != 1 {
-		t.Errorf("silent %d, want 1", res.FaultsSilent)
+	if dig == clean {
+		t.Error("the corrupted result should retire silently into the committed state")
 	}
 }
 
 // stuckAtPC corrupts the result of every execution of one PC, modelling a
 // permanent fault.
-type stuckAtPC struct{ pc uint32 }
+type stuckAtPC struct {
+	fault.None
+	pc uint32
+}
 
 func (s *stuckAtPC) Decide(seq uint64, tr emu.Trace) (fault.Injection, bool) {
 	if tr.PC != s.pc {
@@ -344,16 +352,16 @@ func TestPermanentFaultStopsMachine(t *testing.T) {
 func TestMultipleTransientFaults(t *testing.T) {
 	src := loopProgram(600)
 	want := oracleCount(t, src)
-	inj := &fault.Periodic{Interval: 500, Start: 100}
+	inj := &periodic{interval: 500, start: 100}
 	res := runOn(t, config.Starting().WithReese(), src, inj)
 	if !res.Halted {
 		t.Fatal("did not halt")
 	}
-	if res.FaultsInjected < 3 {
-		t.Fatalf("expected several faults, got %d", res.FaultsInjected)
+	if inj.fired < 3 {
+		t.Fatalf("expected several faults, got %d", inj.fired)
 	}
-	if res.FaultsDetected != res.FaultsInjected {
-		t.Errorf("detected %d of %d faults", res.FaultsDetected, res.FaultsInjected)
+	if res.FaultsDetected != inj.fired {
+		t.Errorf("detected %d of %d faults", res.FaultsDetected, inj.fired)
 	}
 	if res.Committed != want {
 		t.Errorf("committed %d, want %d", res.Committed, want)

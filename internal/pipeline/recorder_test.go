@@ -27,7 +27,7 @@ var updateFlightGolden = flag.Bool("update-flight-golden", false, "rewrite testd
 // file. This locks both the export format (Perfetto-loadable) and the
 // recorded lifecycle (a detection event is inspectable cycle by cycle).
 func TestFlightRecorderGolden(t *testing.T) {
-	cpu, err := New(config.Starting().WithReese(), mustProg(t, loopProgram(2)), &fault.AtSeq{Seq: 6, Bit: 4})
+	cpu, err := New(config.Starting().WithReese(), mustProg(t, loopProgram(2)), &fault.AtStruct{Seq: 6, Bit: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

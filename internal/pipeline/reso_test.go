@@ -119,7 +119,7 @@ func TestRESOCleanRunStillVerifies(t *testing.T) {
 
 func TestRESOStillCatchesTransients(t *testing.T) {
 	src := loopProgram(200)
-	inj := &fault.AtSeq{Seq: 100, Bit: 3}
+	inj := &fault.AtStruct{Seq: 100, Bit: 3}
 	res := runOn(t, config.Starting().WithReese().WithRESO(), src, inj)
 	if res.FaultsDetected != 1 {
 		t.Errorf("RESO machine detected %d transients, want 1", res.FaultsDetected)

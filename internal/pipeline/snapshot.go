@@ -115,17 +115,9 @@ func (ck *Checkpoint) Fork(memory *program.Memory, injector fault.Injector, dst 
 		return nil, fmt.Errorf("pipeline: Fork needs a restored memory image")
 	}
 	cpu := ck.cpu.cloneInto(dst, memory)
-	cpu.injector = injector
-	if injector == nil {
-		cpu.injector = fault.None{}
-	}
-	cpu.sites = nil
-	if s, ok := cpu.injector.(fault.SiteInjector); ok {
-		cpu.sites = s
-	}
-	cpu.memSites = nil
-	if m, ok := cpu.injector.(fault.MemSiteInjector); ok {
-		cpu.memSites = m
+	cpu.injector = nil
+	if _, none := injector.(fault.None); !none {
+		cpu.injector = injector
 	}
 	return cpu, nil
 }

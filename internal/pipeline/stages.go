@@ -41,30 +41,19 @@ func (c *CPU) nextTrace() *emu.Trace {
 	if c.oracleDone {
 		return nil
 	}
-	if c.sites != nil && c.sites.OracleStep(c.oracle.InstCount(), c.oracle) {
-		// An architectural-site fault (regfile, fetch PC) corrupted the
-		// oracle directly; from here the machine executes the corrupted
-		// program state — both streams, so the comparator sees nothing.
-		c.injected++
-		if c.faultCycle == 0 {
-			c.faultCycle = c.cycle
+	if c.injector != nil {
+		icount := c.oracle.InstCount()
+		if c.injector.OracleStep(icount, c.oracle) {
+			// An architectural-site fault (regfile, fetch PC) corrupted the
+			// oracle directly; from here the machine executes the corrupted
+			// program state — both streams, so the comparator sees nothing.
+			c.faultFired(icount, &emu.Trace{PC: c.oracle.PC()}, "oracle", -1)
 		}
-		if c.recorder != nil {
-			inj := emu.Trace{PC: c.oracle.PC()}
-			c.record(EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
-		}
-	}
-	if c.memSites != nil && c.memSites.MemStep(c.oracle.InstCount(), hierPlane{c}) {
-		// A memory-hierarchy fault fired: a flipped architectural word,
-		// a perturbed cache line or TLB entry — all outside the sphere
-		// of replication, so the comparator sees nothing here either.
-		c.injected++
-		if c.faultCycle == 0 {
-			c.faultCycle = c.cycle
-		}
-		if c.recorder != nil {
-			inj := emu.Trace{PC: c.oracle.PC()}
-			c.record(EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
+		if c.injector.MemStep(icount, hierPlane{c}) {
+			// A memory-hierarchy fault fired: a flipped architectural word,
+			// a perturbed cache line or TLB entry — all outside the sphere
+			// of replication, so the comparator sees nothing here either.
+			c.faultFired(icount, &emu.Trace{PC: c.oracle.PC()}, "memory", -1)
 		}
 	}
 	tr, err := c.oracle.Step()
@@ -725,20 +714,14 @@ func (c *CPU) writeback() {
 		if e.Seq >= c.hookHorizon {
 			c.hookHorizon = e.Seq + 1
 		}
+		if c.injector == nil {
+			return true
+		}
 		if inj, ok := c.injector.Decide(e.Seq, e.Trace); ok {
 			e.ResultP, e.NextPCP, e.AddrP, e.StoreValueP = fault.Apply(inj, e.Trace)
 			e.FaultBit = inj.Bit % 32
 			e.FaultCycle = c.cycle
-			if c.faultCycle == 0 {
-				c.faultCycle = c.cycle
-			}
-			c.injected++
-			if c.traceW != nil {
-				c.traceEvent(EvFaultInjected, &e.Trace, fmt.Sprintf("bit %d", e.FaultBit))
-			}
-			if c.recorder != nil {
-				c.record(obs.EvFaultInjected, e.Seq, &e.Trace, 0, -1)
-			}
+			c.faultFired(e.Seq, &e.Trace, "latch", int(e.FaultBit))
 		}
 		return true
 	})
@@ -966,8 +949,8 @@ func (c *CPU) commitReese() int {
 		if e.Seq >= c.hookHorizon {
 			c.hookHorizon = e.Seq + 1
 		}
-		if c.sites != nil {
-			if cor, ok := c.sites.RSQEnqueue(e.Seq, e.Trace); ok {
+		if c.injector != nil {
+			if cor, ok := c.injector.RSQEnqueue(e.Seq, e.Trace); ok {
 				// A transient in the RSQ itself: the stored copies are
 				// corrupted while e.Trace (what recovery replays) stays
 				// clean, so a detected RSQ fault recovers cleanly.
@@ -980,16 +963,7 @@ func (c *CPU) commitReese() int {
 				ent.CompIgnore = cor.CompIgnoreMask
 				ent.FaultBit = cor.Bit % 32
 				ent.FaultCycle = c.cycle
-				if c.faultCycle == 0 {
-					c.faultCycle = c.cycle
-				}
-				c.injected++
-				if c.traceW != nil {
-					c.traceEvent(EvFaultInjected, &e.Trace, fmt.Sprintf("rsq bit %d", ent.FaultBit))
-				}
-				if c.recorder != nil {
-					c.record(obs.EvFaultInjected, e.Seq, &e.Trace, 0, -1)
-				}
+				c.faultFired(e.Seq, &e.Trace, "rsq", int(ent.FaultBit))
 			}
 		}
 		c.rsq.Enqueue(ent, c.cycle)
@@ -1142,16 +1116,11 @@ func (c *CPU) retire(tr emu.Trace, isMem, hadFault bool, resultP, addrP, storeVa
 	if isMem {
 		c.lsq.RemoveHead()
 	}
-	if hadFault {
-		// A corrupted instruction retired without detection. On the
-		// baseline this is the expected silent data corruption; on
-		// REESE it can only be a fault landing where the comparator has
-		// no coverage (e.g. a skipped instruction under partial
-		// re-execution).
-		c.silent++
-	} else if c.lastBadLive && tr.PC == c.lastBadPC {
+	if !hadFault && c.lastBadLive && tr.PC == c.lastBadPC {
 		// The previously faulting instruction retired cleanly: the
-		// transient is gone.
+		// transient is gone. (A corrupted instruction retiring without
+		// detection is silent data corruption; the campaign oracle
+		// classifies it from the final digests.)
 		c.lastBadLive = false
 	}
 	if tr.Halt {

@@ -69,7 +69,7 @@ func TestStallAttributionInvariantUnderFaults(t *testing.T) {
 	// Fault recovery force-retires and replays instructions outside the
 	// commit stage; the slot ledger must still balance.
 	src := loopProgram(300)
-	res := runOn(t, config.Starting().WithReese(), src, &fault.AtSeq{Seq: 40, Bit: 3})
+	res := runOn(t, config.Starting().WithReese(), src, &fault.AtStruct{Seq: 40, Bit: 3})
 	if res.Recoveries == 0 {
 		t.Fatal("fault did not trigger a recovery")
 	}

@@ -120,3 +120,24 @@ func (c *CPU) recordAt(cycle uint64, kind obs.EventKind, seq uint64, tr *emu.Tra
 		Unit:  unit,
 	})
 }
+
+// faultFired books an injector firing at one of the four hook sites:
+// it stamps the first fault cycle (FaultCycle and the triage recorder
+// window key on it) and logs the event to the text trace and the flight
+// recorder. seq and tr name the victim; site and bit (-1 when the site
+// does not report one) annotate the text trace line.
+func (c *CPU) faultFired(seq uint64, tr *emu.Trace, site string, bit int) {
+	if c.faultCycle == 0 {
+		c.faultCycle = c.cycle
+	}
+	if c.traceW != nil {
+		detail := site
+		if bit >= 0 {
+			detail = fmt.Sprintf("%s bit %d", site, bit)
+		}
+		c.traceEvent(EvFaultInjected, tr, detail)
+	}
+	if c.recorder != nil {
+		c.record(obs.EvFaultInjected, seq, tr, 0, -1)
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 func TestPipelineTrace(t *testing.T) {
 	var buf strings.Builder
-	cpu, err := New(config.Starting().WithReese(), mustProg(t, loopProgram(5)), &fault.AtSeq{Seq: 10, Bit: 2})
+	cpu, err := New(config.Starting().WithReese(), mustProg(t, loopProgram(5)), &fault.AtStruct{Seq: 10, Bit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

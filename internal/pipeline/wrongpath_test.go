@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"reese/internal/config"
-	"reese/internal/fault"
 	"reese/internal/workload"
 )
 
@@ -85,13 +84,13 @@ func TestWrongPathCostsAtLeastAsMuchAsStall(t *testing.T) {
 
 func TestWrongPathWithFaultsStillRecovers(t *testing.T) {
 	want := oracleCount(t, erraticBranches)
-	inj := &fault.Periodic{Interval: 3000, Start: 1000}
+	inj := &periodic{interval: 3000, start: 1000}
 	res := runOn(t, config.Starting().WithWrongPath().WithReese(), erraticBranches, inj)
 	if !res.Halted {
 		t.Fatal("did not halt")
 	}
-	if res.FaultsDetected != res.FaultsInjected {
-		t.Errorf("detected %d of %d", res.FaultsDetected, res.FaultsInjected)
+	if res.FaultsDetected != inj.fired {
+		t.Errorf("detected %d of %d", res.FaultsDetected, inj.fired)
 	}
 	if res.Committed != want {
 		t.Errorf("committed %d, want %d", res.Committed, want)

@@ -50,8 +50,9 @@ type RunRequest struct {
 	// Machine is the full configuration (omit for the Table 1 starting
 	// configuration). Serialize one from config.Starting() and edit.
 	Machine *config.Machine `json:"machine,omitempty"`
-	// FaultAt, when non-zero, injects one bit flip into instruction
-	// #FaultAt at position FaultBit, as reese-sim -fault-at.
+	// FaultAt, when non-zero, flips bit FaultBit (0-31) of one latched
+	// result: the first comparator-observable instruction at or after
+	// dynamic instruction #FaultAt, as reese-sim -fault-at.
 	FaultAt  uint64 `json:"fault_at,omitempty"`
 	FaultBit uint8  `json:"fault_bit,omitempty"`
 }

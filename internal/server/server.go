@@ -691,9 +691,9 @@ func runSimulation(ctx context.Context, req RunRequest, progress *atomic.Uint64)
 	if err != nil {
 		return jobOutput{}, err
 	}
-	var injector fault.Injector = fault.None{}
+	var injector fault.Injector
 	if req.FaultAt > 0 {
-		injector = &fault.AtSeq{Seq: req.FaultAt, Bit: req.FaultBit}
+		injector = &fault.AtStruct{Struct: fault.StructResult, Seq: req.FaultAt, Bit: req.FaultBit}
 	}
 	cpu, err := pipeline.New(*req.Machine, prog, injector)
 	if err != nil {

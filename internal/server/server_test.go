@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"reese/internal/config"
 	"reese/internal/harness"
 	"reese/internal/pipeline"
 	"reese/internal/workload"
@@ -686,4 +687,45 @@ func findLine(metrics, prefix string) string {
 		}
 	}
 	return ""
+}
+
+// TestRunFaultAt covers /v1/run's fault path: one result fault on the
+// REESE machine is detected and recovered, the same fault on the
+// baseline goes unseen, and an out-of-range bit is rejected up front.
+func TestRunFaultAt(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	run := func(m config.Machine) pipeline.Result {
+		t.Helper()
+		v := postJSON(t, ts.URL+"/v1/run?wait=120s", RunRequest{
+			Workload: "li", Insts: testInsts, Machine: &m, FaultAt: 1000, FaultBit: 6,
+		})
+		if v.State != StateDone {
+			t.Fatalf("run finished %q: %s", v.State, v.Error)
+		}
+		var res pipeline.Result
+		if err := json.Unmarshal(v.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := run(config.Starting().WithReese()); res.FaultsDetected != 1 || res.Recoveries != 1 {
+		t.Errorf("REESE: detected=%d recoveries=%d, want 1 and 1", res.FaultsDetected, res.Recoveries)
+	}
+	if res := run(config.Starting()); res.FaultsDetected != 0 {
+		t.Errorf("baseline detected %d faults; it has no comparator", res.FaultsDetected)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"workload":"li","fault_at":1000,"fault_bit":32}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("fault_bit 32: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "fault bit 32 out of range [0,31]") {
+		t.Errorf("fault_bit 32: body %s does not name the range", body)
+	}
 }

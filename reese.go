@@ -47,8 +47,7 @@ type Result = pipeline.Result
 type Program = program.Program
 
 // Injector decides which instructions suffer injected soft errors.
-// Implementations in this package: NoFaults, FaultAt, PeriodicFaults,
-// RandomFaults.
+// Implementations in this package: NoFaults, FaultAt.
 type Injector = fault.Injector
 
 // CPU is a single-use simulated processor instance, for callers that
@@ -114,17 +113,15 @@ func Emulate(prog *Program, maxInsts uint64) (*emu.Machine, error) {
 // NoFaults returns an injector that never fires.
 func NoFaults() Injector { return fault.None{} }
 
-// FaultAt returns an injector that flips the given bit of the result of
-// the n-th committed instruction, once.
-func FaultAt(n uint64, bit uint8) Injector { return &fault.AtSeq{Seq: n, Bit: bit} }
-
-// PeriodicFaults returns an injector that fires every interval
-// instructions, cycling bit positions.
-func PeriodicFaults(interval uint64) Injector { return &fault.Periodic{Interval: interval} }
-
-// RandomFaults returns a deterministic pseudo-random injector firing
-// with probability num/2^32 per instruction.
-func RandomFaults(num uint32, seed uint64) Injector { return fault.NewRandom(num, seed) }
+// FaultAt returns an injector that flips the given bit (mod 32) of one
+// latched result, once: the fault lands on the first
+// comparator-observable instruction (one with a register result, a
+// store value or a control-transfer target) at or after dynamic
+// instruction n. "First" is in writeback order, so out-of-order
+// completion can pick an instruction slightly after n.
+func FaultAt(n uint64, bit uint8) Injector {
+	return &fault.AtStruct{Struct: fault.StructResult, Seq: n, Bit: bit}
+}
 
 // Experiment harness re-exports: each regenerates one of the paper's
 // tables or figures. See EXPERIMENTS.md for paper-vs-measured results.

@@ -85,7 +85,7 @@ func TestInjectorConstructors(t *testing.T) {
 	if res.FaultsDetected != 1 {
 		t.Errorf("detected %d", res.FaultsDetected)
 	}
-	if reese.NoFaults() == nil || reese.PeriodicFaults(10) == nil || reese.RandomFaults(1<<20, 1) == nil {
+	if reese.NoFaults() == nil {
 		t.Error("injector constructors")
 	}
 }
