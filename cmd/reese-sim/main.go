@@ -65,6 +65,22 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "reese-sim: fault bit %d out of range [0,31]\n", *faultBit)
 		return 2
 	}
+	if *tracePath == "-" && *asJSON {
+		fmt.Fprintln(os.Stderr, "reese-sim: -trace - and -json both write to stdout; trace to a file")
+		return 2
+	}
+	if !*reese {
+		var stray string
+		flag.Visit(func(f *flag.Flag) {
+			if stray == "" && (f.Name == "rsq" || f.Name == "partial" || f.Name == "reso") {
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			fmt.Fprintf(os.Stderr, "reese-sim: -%s requires -reese\n", stray)
+			return 2
+		}
+	}
 
 	cfg := config.Starting()
 	if *ruuSize > 0 {
@@ -140,8 +156,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "reese-sim:", err)
 		return 1
 	}
+	var inst pipeline.Instruments
 	if *tracePath != "" {
-		w := os.Stdout
+		inst.Trace = os.Stdout
 		if *tracePath != "-" {
 			f, err := os.Create(*tracePath)
 			if err != nil {
@@ -149,15 +166,13 @@ func run() int {
 				return 1
 			}
 			defer f.Close()
-			w = f
+			inst.Trace = f
 		}
-		cpu.SetTrace(w)
 	}
-	var rec *obs.Recorder
 	if *traceOut != "" {
-		rec = obs.NewRecorder(*traceBuf)
-		cpu.SetRecorder(rec)
+		inst.Recorder = obs.NewRecorder(*traceBuf)
 	}
+	cpu.Instrument(inst)
 	if *fastfwd > 0 {
 		if _, err := cpu.FastForward(*fastfwd); err != nil {
 			fmt.Fprintln(os.Stderr, "reese-sim:", err)
@@ -169,7 +184,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "reese-sim:", err)
 		return 1
 	}
-	if rec != nil {
+	if rec := inst.Recorder; rec != nil {
 		f, cerr := os.Create(*traceOut)
 		if cerr != nil {
 			fmt.Fprintln(os.Stderr, "reese-sim:", cerr)

@@ -53,3 +53,35 @@ func TestFaultBitOutOfRange(t *testing.T) {
 		t.Errorf("-fault-bit 31: exit status %d (%s)", code, stderr)
 	}
 }
+
+// TestRejectsConflictingFlags: flag combinations that would corrupt the
+// output or be silently ignored exit with status 2 and name the flag.
+func TestRejectsConflictingFlags(t *testing.T) {
+	for _, tt := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trace", "-", "-json"}, "-trace - and -json"},
+		{[]string{"-rsq", "16"}, "-rsq requires -reese"},
+		{[]string{"-partial", "4"}, "-partial requires -reese"},
+		{[]string{"-reso"}, "-reso requires -reese"},
+	} {
+		args := append([]string{"-workload", "li", "-insts", "2000"}, tt.args...)
+		code, stderr := sim(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2", tt.args, code)
+		}
+		if !strings.Contains(stderr, tt.want) {
+			t.Errorf("%v: stderr %q does not contain %q", tt.args, stderr, tt.want)
+		}
+	}
+	for _, ok := range [][]string{
+		{"-reese", "-rsq", "16", "-partial", "4", "-reso"},
+		{"-trace", os.DevNull, "-json"},
+	} {
+		args := append([]string{"-workload", "li", "-insts", "2000"}, ok...)
+		if code, stderr := sim(t, args...); code != 0 {
+			t.Errorf("%v: exit status %d (%s)", ok, code, stderr)
+		}
+	}
+}

@@ -456,15 +456,15 @@ func (b *campaignBundle) getWorker() *campaignWorker {
 // eligible checkpoint, filling in the trial's outcome fields exactly as
 // a full from-scratch simulation would have.
 func (b *campaignBundle) runTrial(ctx context.Context, t *Trial, opt Options) error {
-	return b.runTrialInstr(ctx, t, opt, nil)
+	return b.runTrialInstr(ctx, t, opt, pipeline.Instruments{})
 }
 
-// runTrialInstr is runTrial with an optional instrumentation hook,
-// invoked on the forked machine just before it runs. The triage replay
-// (triage.go) arms the flight recorder and the lockstep commit watch
-// through it; both are pure observers, so an instrumented run is
+// runTrialInstr is runTrial with extra instruments armed on the forked
+// machine (opt.Progress is always added). The triage replay (triage.go)
+// arms the flight recorder and the lockstep commit watch through it;
+// instruments are pure observers, so an instrumented run is
 // byte-identical to a bare one.
-func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Options, instrument func(*pipeline.CPU)) error {
+func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Options, inst pipeline.Instruments) error {
 	st, _ := fault.ParseStruct(t.Structure)
 	inj := &fault.AtStruct{Struct: st, Seq: t.Seq, Bit: t.Bit, Reg: t.Reg, Addr: t.Addr, Seq2: t.Seq2}
 
@@ -480,11 +480,9 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 		return err
 	}
 	w.cpu = cpu
-	cpu.SetProgress(opt.Progress)
+	inst.Progress = opt.Progress
+	cpu.Instrument(inst)
 	cpu.SetHangFastForward(true)
-	if instrument != nil {
-		instrument(cpu)
-	}
 
 	// At every golden boundary after the fault fires, try to splice:
 	// if the whole machine (micro-architecture, oracle scalars, memory)

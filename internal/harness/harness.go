@@ -46,8 +46,8 @@ type Options struct {
 	// signature.
 	Ctx context.Context
 	// Progress, when non-nil, accumulates committed-instruction deltas
-	// from every in-flight simulation (pipeline.CPU.SetProgress) — the
-	// watchdog heartbeat reese-serve samples to tell a slow experiment
+	// from every in-flight simulation (pipeline.Instruments.Progress) —
+	// the watchdog heartbeat reese-serve samples to tell a slow experiment
 	// from a hung one. The counter is cumulative and monotonic across
 	// all cells of a grid or campaign.
 	Progress *atomic.Uint64
@@ -277,7 +277,7 @@ func runOne(cfg config.Machine, workloadName string, opt Options) (pipeline.Resu
 	if err != nil {
 		return pipeline.Result{}, err
 	}
-	cpu.SetProgress(opt.Progress)
+	cpu.Instrument(pipeline.Instruments{Progress: opt.Progress})
 	return cpu.RunContext(ctx, opt.Insts)
 }
 

@@ -11,14 +11,14 @@ package harness
 // with three instruments armed that the original run did not carry:
 //
 //   - the flight recorder, windowed around the injection cycle
-//     (pipeline.CPU.SetRecorderWindow): the ring holds the pre-injection
-//     context and freezes shortly after the fault fires, so the Perfetto
-//     trace shows the corruption being planted instead of the tail of
-//     the run;
+//     (pipeline.Instruments.RecorderWindow): the ring holds the
+//     pre-injection context and freezes shortly after the fault fires,
+//     so the Perfetto trace shows the corruption being planted instead
+//     of the tail of the run;
 //   - a lockstep golden emulator driven from the commit watch
-//     (pipeline.CPU.SetCommitWatch): every architectural retire is
-//     compared in program order against an independent emu.Machine, and
-//     the first mismatch — register value, store address/value, or fetch
+//     (pipeline.Instruments.CommitWatch): every architectural retire
+//     is compared in program order against an independent emu.Machine,
+//     and the first mismatch — register value, store address/value, or fetch
 //     PC — is the first divergent commit, stamped into the trace as a
 //     DIVERGENCE marker;
 //   - the Brent hang probe's detected loop period
@@ -215,7 +215,8 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 	rt := *t
 	rt.Triage = nil
 
-	lw, err := b.getLock(b.forkPoint(t.Seq))
+	fork := b.forkPoint(t.Seq)
+	lw, err := b.getLock(fork)
 	if err != nil {
 		return err
 	}
@@ -239,58 +240,50 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 	stopped := false
 
 	var (
-		cpu      *pipeline.CPU
 		div      *Divergence
 		divCycle uint64
-		lockDead bool // lockstep emulator halted or errored; stop comparing
+		// lockDead stops the comparison: the lockstep emulator halted or
+		// errored, or its getLock position disagrees with the fork
+		// checkpoint (never compare rather than mis-attribute).
+		lockDead = b.checkpoints[fork].Committed != lock.InstCount()
 	)
-	instrument := func(c *pipeline.CPU) {
-		cpu = c
-		c.SetRecorder(rec)
-		c.SetRecorderWindow(triageWindow)
-		// The lockstep golden was positioned at the fork checkpoint by
-		// getLock; a mismatch here would mean the fork and the snapshot
-		// chain disagree, so stop comparing rather than mis-attribute.
-		if c.Committed() != lock.InstCount() {
-			lockDead = true
+	watch := func(cpu *pipeline.CPU, seq, cycle uint64, tr emu.Trace, resultP, addrP, storeValueP uint32) {
+		if stopped {
+			return
 		}
-		c.SetCommitWatch(func(seq, cycle uint64, tr emu.Trace, resultP, addrP, storeValueP uint32) {
-			if stopped {
+		if !fullReplay {
+			if fc := cpu.FaultCycle(); fc > 0 && cycle >= fc+triageWindow &&
+				(div != nil || lockDead || cycle >= fc+triageHorizon) {
+				stopped = true
+				cpu.RequestStop()
 				return
 			}
-			if !fullReplay {
-				if fc := cpu.FaultCycle(); fc > 0 && cycle >= fc+triageWindow &&
-					(div != nil || lockDead || cycle >= fc+triageHorizon) {
-					stopped = true
-					cpu.RequestStop()
-					return
-				}
-			}
-			if div != nil || lockDead {
-				return
-			}
-			gtr, err := lock.Step()
-			if err != nil {
-				// The golden program is over but the replay is still
-				// committing: control flow left the golden path.
-				lockDead = true
-				div = &Divergence{Seq: seq, Kind: "pc", Got: tr.PC}
-				divCycle = cycle
-				cpu.MarkDivergence(cycle, seq, tr)
-				return
-			}
-			d := compareCommit(gtr, tr, resultP, addrP, storeValueP)
-			if d == nil {
-				return
-			}
-			d.Seq = seq
-			div = d
+		}
+		if div != nil || lockDead {
+			return
+		}
+		gtr, err := lock.Step()
+		if err != nil {
+			// The golden program is over but the replay is still
+			// committing: control flow left the golden path.
+			lockDead = true
+			div = &Divergence{Seq: seq, Kind: "pc", Got: tr.PC}
 			divCycle = cycle
 			cpu.MarkDivergence(cycle, seq, tr)
-		})
+			return
+		}
+		d := compareCommit(gtr, tr, resultP, addrP, storeValueP)
+		if d == nil {
+			return
+		}
+		d.Seq = seq
+		div = d
+		divCycle = cycle
+		cpu.MarkDivergence(cycle, seq, tr)
 	}
 
-	if err := b.runTrialInstr(ctx, &rt, opt, instrument); err != nil {
+	inst := pipeline.Instruments{Recorder: rec, RecorderWindow: triageWindow, CommitWatch: watch}
+	if err := b.runTrialInstr(ctx, &rt, opt, inst); err != nil {
 		return err
 	}
 

@@ -16,9 +16,8 @@ import (
 	"reese/internal/isa"
 )
 
-// EventKind labels a pipeline lifecycle event. It is shared with
-// package pipeline's line-oriented trace (pipeline.EventKind is an
-// alias of this type).
+// EventKind labels a pipeline lifecycle event. One vocabulary feeds
+// both the ring and the line-oriented text trace (Event.AppendText).
 type EventKind uint8
 
 // Pipeline lifecycle events.
@@ -37,6 +36,7 @@ const (
 	EvMismatch
 	EvRecovery
 	EvDivergence
+	EvSquash
 
 	// NumEventKinds sizes per-kind arrays.
 	NumEventKinds
@@ -57,6 +57,7 @@ var eventNames = [NumEventKinds]string{
 	EvMismatch:      "MISMATCH",
 	EvRecovery:      "RECOVERY",
 	EvDivergence:    "DIVERGENCE",
+	EvSquash:        "SQUASH",
 }
 
 func (k EventKind) String() string {
@@ -78,6 +79,18 @@ type Event struct {
 	// is the instance index within the kind.
 	FU   uint8
 	Unit int16
+}
+
+// AppendText appends e as one line of the text pipeline trace (the
+// SimpleScalar ptrace equivalent): cycle, kind, PC, disassembly and
+// sequence number, then the functional unit when one is involved.
+func (e Event) AppendText(b []byte) []byte {
+	b = fmt.Appendf(b, "%8d %-10s %#08x %-24s seq=%d", e.Cycle, e.Kind, e.PC, e.Inst.String(), e.Seq)
+	if e.FU > 0 {
+		b = append(b, ' ')
+		b = append(b, fuLaneName(e.FU, e.Unit)...)
+	}
+	return append(b, '\n')
 }
 
 // Recorder is the ring buffer. Not safe for concurrent use — it
@@ -166,7 +179,7 @@ func (r *Recorder) Scan(fn func(Event)) {
 // at fuLaneBase and encode kind and unit so every physical unit gets
 // its own row.
 const (
-	laneEvents   = 0 // instants: mispredicts, faults, mismatches, recoveries
+	laneEvents   = 0 // instants: mispredicts, squashes, faults, mismatches, recoveries
 	laneFetchQ   = 1 // fetch → dispatch
 	laneWindow   = 2 // dispatch → issue (operand wait + scheduling)
 	laneRSQ      = 3 // RSQ entry → R-dispatch (recheck wait)

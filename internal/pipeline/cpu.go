@@ -18,8 +18,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync/atomic"
 
 	"reese/internal/bpred"
 	"reese/internal/config"
@@ -125,9 +123,10 @@ type CPU struct {
 	trScratch emu.Trace
 	wpScratch emu.Trace
 	// dec is prog's pre-decoded text, consulted by wrong-path fetch.
-	dec      *program.DecodedText
-	traceW   io.Writer     // pipeline event trace sink (nil = off)
-	recorder *obs.Recorder // flight recorder ring (nil = off)
+	dec *program.DecodedText
+	// inst holds the armed observers (trace.go); Snapshot and Fork
+	// never carry them over.
+	inst Instruments
 
 	cycle        uint64
 	fetchReadyAt uint64 // I-cache miss / redirect gate
@@ -193,15 +192,6 @@ type CPU struct {
 	// stopReq makes the running cycle loop return at the end of the
 	// current cycle, as a normal (non-error) result (RequestStop).
 	stopReq bool
-	// recFreeze, when non-zero, freezes the flight recorder recFreeze
-	// cycles after faultCycle: the ring then holds a window around the
-	// injection instead of the tail of the run. Marker events
-	// (fault/mismatch/recovery/divergence) bypass the freeze.
-	recFreeze uint64
-	// commitWatch, when non-nil, observes every architectural retire in
-	// program order with the values actually committed — the triage
-	// pass's lockstep tap (SetCommitWatch).
-	commitWatch func(seq, cycle uint64, tr emu.Trace, resultP, addrP, storeValueP uint32)
 
 	// Shadow architectural state rebuilt from latched commit values
 	// (what the timing machine actually retired, as opposed to the
@@ -212,10 +202,8 @@ type CPU struct {
 	storeHash   uint64
 	storeCount  uint64
 
-	// progress, when non-nil, receives committed-instruction deltas at
-	// every context-check interval — a liveness heartbeat an external
-	// watchdog can sample without touching the cycle loop (SetProgress).
-	progress     *atomic.Uint64
+	// progressSeen is the commit count last credited to
+	// inst.Progress.
 	progressSeen uint64
 
 	// Fault bookkeeping.
@@ -493,7 +481,7 @@ const ctxCheckInterval = 16384
 // ctx every ctxCheckInterval cycles and returns ctx.Err() (wrapped) if
 // the context is cancelled or times out, so an abandoned request stops
 // burning CPU mid-simulation. At the same cadence it publishes the
-// committed-instruction count to the SetProgress sink, giving external
+// committed-instruction count to Instruments.Progress, giving external
 // watchdogs a liveness heartbeat.
 func (c *CPU) RunContext(ctx context.Context, maxInsts uint64) (Result, error) {
 	c.instLimit = maxInsts
@@ -573,24 +561,6 @@ func (c *CPU) RunContext(ctx context.Context, maxInsts uint64) (Result, error) {
 // it). Call before Run.
 func (c *CPU) SetHangLimit(cycles uint64) { c.hangLimit = cycles }
 
-// SetCommitWatch installs an observer invoked at every architectural
-// retire, in program order, with the global commit index (seq), the
-// retire cycle, the committed trace, and the latched result / store
-// address / store value the shadow state is rebuilt from. The observer
-// must not mutate the CPU; it is the triage pass's lockstep tap. Call
-// before Run; nil disables.
-func (c *CPU) SetCommitWatch(fn func(seq, cycle uint64, tr emu.Trace, resultP, addrP, storeValueP uint32)) {
-	c.commitWatch = fn
-}
-
-// SetRecorderWindow freezes the flight recorder postCycles cycles after
-// the injector first fires: the ring then holds the window around the
-// injection (ring capacity bounds the pre-context, postCycles the
-// post-context) instead of the tail of the run. Marker events —
-// fault, mismatch, recovery, divergence — bypass the freeze. 0 (the
-// default) records the whole run, wrapping as usual.
-func (c *CPU) SetRecorderWindow(postCycles uint64) { c.recFreeze = postCycles }
-
 // FaultCycle returns the cycle at which the injector first fired
 // (0 = it never fired).
 func (c *CPU) FaultCycle() uint64 { return c.faultCycle }
@@ -605,20 +575,6 @@ func (c *CPU) RequestStop() { c.stopReq = true }
 
 // StopRequested reports whether RequestStop ended the last run early.
 func (c *CPU) StopRequested() bool { return c.stopReq }
-
-// SetProgress installs a shared committed-instruction counter: the
-// cycle loop adds its commit deltas to p at every context-check
-// interval, so a watchdog sampling p can tell a slow simulation from a
-// hung one. Several CPUs may share one counter (a figure grid); the sum
-// stays monotonic. Call before Run; a nil p disables reporting.
-func (c *CPU) SetProgress(p *atomic.Uint64) { c.progress = p }
-
-func (c *CPU) reportProgress() {
-	if c.progress != nil && c.committed > c.progressSeen {
-		c.progress.Add(c.committed - c.progressSeen)
-		c.progressSeen = c.committed
-	}
-}
 
 // step advances one cycle, running stages in reverse pipeline order so
 // every stage sees the previous cycle's state of its upstream neighbour.

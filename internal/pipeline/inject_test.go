@@ -28,6 +28,20 @@ func (p *periodic) Decide(seq uint64, tr emu.Trace) (fault.Injection, bool) {
 	return fault.Injection{Bit: uint8(p.fired % 32)}, true
 }
 
+// organisations lists one machine of every redundancy organisation the
+// pipeline models.
+var organisations = []struct {
+	name string
+	cfg  config.Machine
+}{
+	{"baseline", config.Starting()},
+	{"reese", config.Starting().WithReese()},
+	{"dup-dispatch", config.Starting().WithDupDispatch()},
+	{"reso", config.Starting().WithReese().WithRESO()},
+	{"wrong-path", config.Starting().WithReese().WithWrongPath()},
+	{"partial", config.Starting().WithReese().WithPartialReexec(4)},
+}
+
 // runDigest runs src to halt and returns the result plus the committed
 // architectural digest — the state a campaign's oracle classifies.
 func runDigest(t *testing.T, cfg config.Machine, src string, inj fault.Injector) (Result, emu.Digest) {
@@ -48,17 +62,7 @@ func runDigest(t *testing.T, cfg config.Machine, src string, inj fault.Injector)
 // identical results and committed state on every machine organisation.
 func TestFaultFreeInjectorsAgree(t *testing.T) {
 	src := loopProgram(300)
-	for _, tt := range []struct {
-		name string
-		cfg  config.Machine
-	}{
-		{"baseline", config.Starting()},
-		{"reese", config.Starting().WithReese()},
-		{"dup-dispatch", config.Starting().WithDupDispatch()},
-		{"reso", config.Starting().WithReese().WithRESO()},
-		{"wrong-path", config.Starting().WithReese().WithWrongPath()},
-		{"partial", config.Starting().WithReese().WithPartialReexec(4)},
-	} {
+	for _, tt := range organisations {
 		t.Run(tt.name, func(t *testing.T) {
 			for _, inj := range []fault.Injector{nil, fault.None{}} {
 				cpu, err := New(tt.cfg, mustProg(t, src), inj)

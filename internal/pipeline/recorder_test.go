@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"reese/internal/config"
+	"reese/internal/emu"
 	"reese/internal/fault"
 	"reese/internal/obs"
 )
@@ -32,10 +36,7 @@ func TestFlightRecorderGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(4096)
-	cpu.SetRecorder(rec)
-	if cpu.Recorder() != rec {
-		t.Fatal("Recorder() getter broken")
-	}
+	cpu.Instrument(Instruments{Recorder: rec})
 	res, err := cpu.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,31 +102,51 @@ func TestFlightRecorderGolden(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderOverheadGate checks the off-by-default contract:
-// running without SetRecorder must leave no recorder in place, and two
-// identical runs (recorder armed vs not) must produce identical timing
-// — recording observes the machine, never perturbs it.
+// TestFlightRecorderObservesWithoutPerturbing checks the observer
+// contract on every machine organisation, with one fault injected so
+// the fault, mismatch and recovery sites fire too: a run with all five
+// instruments armed must give the same Result and committed state as a
+// bare run — instruments observe the machine, never perturb it.
 func TestFlightRecorderObservesWithoutPerturbing(t *testing.T) {
 	src := loopProgram(50)
-	plain := runOn(t, config.Starting().WithReese(), src, nil)
+	inj := func() fault.Injector { return &fault.AtStruct{Seq: 40, Bit: 5} }
+	for _, tt := range organisations {
+		t.Run(tt.name, func(t *testing.T) {
+			plain, plainDig := runDigest(t, tt.cfg, src, inj())
 
-	cpu, err := New(config.Starting().WithReese(), mustProg(t, src), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu.SetRecorder(obs.NewRecorder(256))
-	recorded, err := cpu.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cycles != recorded.Cycles || plain.Committed != recorded.Committed || plain.IPC != recorded.IPC {
-		t.Fatalf("recorder perturbed timing: %d/%d cycles, %d/%d committed",
-			plain.Cycles, recorded.Cycles, plain.Committed, recorded.Committed)
-	}
-	if cpu.Recorder().Len() == 0 {
-		t.Fatal("recorder captured nothing")
-	}
-	if cpu.Recorder().Dropped() == 0 {
-		t.Fatal("256-entry ring over a 50-iteration loop should have wrapped")
+			cpu, err := New(tt.cfg, mustProg(t, src), inj())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewRecorder(256)
+			var progress atomic.Uint64
+			var watched uint64
+			cpu.Instrument(Instruments{
+				Trace:          io.Discard,
+				Recorder:       rec,
+				RecorderWindow: 64,
+				CommitWatch:    func(*CPU, uint64, uint64, emu.Trace, uint32, uint32, uint32) { watched++ },
+				Progress:       &progress,
+			})
+			recorded, err := cpu.Run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(recorded, plain) {
+				t.Errorf("instruments perturbed the result:\n%+v\nvs\n%+v", recorded, plain)
+			}
+			if cpu.CommitDigest() != plainDig {
+				t.Error("instruments perturbed the committed state")
+			}
+			if rec.Len() == 0 {
+				t.Fatal("recorder captured nothing")
+			}
+			if rec.Dropped() == 0 {
+				t.Fatal("256-entry ring over a 50-iteration loop should have wrapped")
+			}
+			if watched != recorded.Committed || progress.Load() != recorded.Committed {
+				t.Errorf("commit watch saw %d, progress %d; want %d commits", watched, progress.Load(), recorded.Committed)
+			}
+		})
 	}
 }

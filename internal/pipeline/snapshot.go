@@ -147,8 +147,8 @@ func (c *CPU) OracleMemory() *program.Memory { return c.oracle.Mem() }
 // is nil), reusing dst's component allocations where possible. memory
 // becomes the clone's architectural memory (nil leaves the cloned
 // oracle detached — only valid for stored snapshots that Fork will
-// rewire). Observability sinks (trace writer, flight recorder, progress
-// counter) and hook state deliberately do not survive the copy.
+// rewire). Instruments and hook state deliberately do not survive the
+// copy.
 func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	if dst == nil {
 		dst = &CPU{}
@@ -190,18 +190,13 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	dst.replayScratch = rps[:0]
 	dst.detectLat = c.detectLat.Clone()
 
-	dst.traceW = nil
-	dst.recorder = nil
-	dst.progress = nil
-	dst.progressSeen = 0
+	dst.inst = Instruments{}
 	dst.hookMarks = nil
 	dst.hookIdx = 0
 	dst.hookFn = nil
 	dst.hangFF = false
 	dst.ffScratch = nil
 	dst.ffProbeAge = 0
-	dst.commitWatch = nil
-	dst.recFreeze = 0
 	return dst
 }
 

@@ -47,13 +47,13 @@ func (c *CPU) nextTrace() *emu.Trace {
 			// An architectural-site fault (regfile, fetch PC) corrupted the
 			// oracle directly; from here the machine executes the corrupted
 			// program state — both streams, so the comparator sees nothing.
-			c.faultFired(icount, &emu.Trace{PC: c.oracle.PC()}, "oracle", -1)
+			c.faultFired(icount, &emu.Trace{PC: c.oracle.PC()})
 		}
 		if c.injector.MemStep(icount, hierPlane{c}) {
 			// A memory-hierarchy fault fired: a flipped architectural word,
 			// a perturbed cache line or TLB entry — all outside the sphere
 			// of replication, so the comparator sees nothing here either.
-			c.faultFired(icount, &emu.Trace{PC: c.oracle.PC()}, "memory", -1)
+			c.faultFired(icount, &emu.Trace{PC: c.oracle.PC()})
 		}
 	}
 	tr, err := c.oracle.Step()
@@ -128,7 +128,6 @@ func (c *CPU) fetch() {
 			}
 		}
 		fe := c.fetchQPush(fetchEntry{tr: *tr, bogus: c.wrongPath, fetchedAt: c.cycle})
-		c.traceEvent(EvFetch, tr, "")
 		if c.wrongPath {
 			c.wpFetched++
 			// Wrong-path control flow already chose its own next PC in
@@ -144,15 +143,8 @@ func (c *CPU) fetch() {
 		if tr.Inst.Op.IsControl() {
 			c.branches++
 			if c.predictAndMaybeStall(fe) {
-				if fe.mispredicted {
-					if c.cfg.ModelWrongPath {
-						c.traceEvent(EvMispredict, tr, "fetching down the wrong path")
-					} else {
-						c.traceEvent(EvMispredict, tr, "fetch stalled until resolution")
-					}
-					if c.recorder != nil {
-						c.record(obs.EvMispredict, 0, tr, 0, -1)
-					}
+				if fe.mispredicted && c.observed() {
+					c.emit(obs.EvMispredict, 0, tr, 0, -1)
 				}
 				return
 			}
@@ -408,14 +400,11 @@ func (c *CPU) dispatchP() bool {
 	e.Bogus = fe.bogus
 	e.BpHistory = fe.histSnap
 	c.fetchQPop()
-	if c.traceW != nil {
-		c.traceEvent(EvDispatch, &e.Trace, fmt.Sprintf("seq=%d", e.Seq))
-	}
-	if c.recorder != nil {
+	if c.observed() {
 		// The fetch event is backdated to queue entry: its sequence
 		// number only exists now.
-		c.recordAt(fe.fetchedAt, obs.EvFetch, e.Seq, &e.Trace, 0, -1)
-		c.record(obs.EvDispatch, e.Seq, &e.Trace, 0, -1)
+		c.emitAt(fe.fetchedAt, obs.EvFetch, e.Seq, &e.Trace, 0, -1)
+		c.emit(obs.EvDispatch, e.Seq, &e.Trace, 0, -1)
 	}
 	if needDup {
 		dupLSQ := ruu.NoProducer
@@ -423,10 +412,7 @@ func (c *CPU) dispatchP() bool {
 			le := c.lsq.Dispatch(fe.tr, c.ruu.NextSeq())
 			dupLSQ = le.MemSeq
 		}
-		d := c.ruu.DispatchDup(fe.tr, e.Seq, e.Dep1, e.Dep2, dupLSQ)
-		if c.traceW != nil {
-			c.traceEvent(EvDispatch, &d.Trace, fmt.Sprintf("seq=%d (duplicate of %d)", d.Seq, e.Seq))
-		}
+		c.ruu.DispatchDup(fe.tr, e.Seq, e.Dep1, e.Dep2, dupLSQ)
 	}
 	return true
 }
@@ -448,11 +434,8 @@ func (c *CPU) dispatchR() bool {
 	}
 	c.rLive++
 	c.rsq.MarkDispatched(e)
-	if c.traceW != nil {
-		c.traceEvent(EvDispatchR, &e.Trace, fmt.Sprintf("qseq=%d", e.QSeq))
-	}
-	if c.recorder != nil {
-		c.record(obs.EvDispatchR, e.Seq, &e.Trace, 0, -1)
+	if c.observed() {
+		c.emit(obs.EvDispatchR, e.Seq, &e.Trace, 0, -1)
 	}
 	return true
 }
@@ -599,11 +582,8 @@ func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
 	e.Issued = true
 	e.IssuedAt = c.cycle
 	e.DoneAt = doneAt
-	if c.traceW != nil {
-		c.traceEvent(EvIssue, &e.Trace, fmt.Sprintf("done@%d", doneAt))
-	}
-	if c.recorder != nil {
-		c.record(obs.EvIssue, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
+	if c.observed() {
+		c.emit(obs.EvIssue, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
 	}
 }
 
@@ -663,11 +643,8 @@ func (c *CPU) issueR(budget *int) {
 			e.RFaultMask = c.stuck.Mask()
 		}
 		c.rsq.MarkIssued(e, c.cycle, doneAt)
-		if c.traceW != nil {
-			c.traceEvent(EvIssueR, &e.Trace, fmt.Sprintf("done@%d", doneAt))
-		}
-		if c.recorder != nil {
-			c.record(obs.EvIssueR, e.Seq, &e.Trace, uint8(rKind)+1, int16(rUnit))
+		if c.observed() {
+			c.emit(obs.EvIssueR, e.Seq, &e.Trace, uint8(rKind)+1, int16(rUnit))
 		}
 		*budget--
 		return true
@@ -688,9 +665,8 @@ func (c *CPU) writeback() {
 			return true
 		}
 		e.Completed = true
-		c.traceEvent(EvWriteback, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvWriteback, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
+		if c.observed() {
+			c.emit(obs.EvWriteback, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
 		}
 		if e.Bogus {
 			// Wrong-path completions update nothing architectural: no
@@ -721,7 +697,7 @@ func (c *CPU) writeback() {
 			e.ResultP, e.NextPCP, e.AddrP, e.StoreValueP = fault.Apply(inj, e.Trace)
 			e.FaultBit = inj.Bit % 32
 			e.FaultCycle = c.cycle
-			c.faultFired(e.Seq, &e.Trace, "latch", int(e.FaultBit))
+			c.faultFired(e.Seq, &e.Trace)
 		}
 		return true
 	})
@@ -740,15 +716,13 @@ func (c *CPU) writeback() {
 		c.rLive--
 		if !c.rsq.Compare(e) {
 			bad = e
-			c.traceEvent(EvMismatch, &e.Trace, "comparator hit: soft error detected")
-			if c.recorder != nil {
-				c.record(obs.EvMismatch, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
+			if c.observed() {
+				c.emit(obs.EvMismatch, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
 			}
 			return false // recovery flushes everything anyway
 		}
-		c.traceEvent(EvVerify, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvVerify, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
+		if c.observed() {
+			c.emit(obs.EvVerify, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
 		}
 		return true
 	})
@@ -809,8 +783,8 @@ func (c *CPU) squashWrongPath(branch *ruu.Entry) {
 	if resume > c.fetchReadyAt {
 		c.fetchReadyAt = resume
 	}
-	if c.traceW != nil {
-		fmt.Fprintf(c.traceW, "%8d SQUASH     %d wrong-path instructions behind %#08x\n", c.cycle, squashed, branch.Trace.PC)
+	if c.observed() {
+		c.emit(obs.EvSquash, 0, &branch.Trace, 0, -1)
 	}
 }
 
@@ -904,9 +878,8 @@ func (c *CPU) commitReese() int {
 		}
 		e := c.rsq.RetireHead()
 		used++
-		c.traceEvent(EvCommit, &e.Trace, "verified")
-		if c.recorder != nil {
-			c.record(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
+		if c.observed() {
+			c.emit(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
 		}
 		c.retire(e.Trace, false, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
 		if c.done {
@@ -931,9 +904,8 @@ func (c *CPU) commitReese() int {
 		if e.LSQSeq != ruu.NoProducer {
 			c.lsq.RemoveHead()
 		}
-		c.traceEvent(EvEnterRSQ, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvEnterRSQ, e.Seq, &e.Trace, 0, -1)
+		if c.observed() {
+			c.emit(obs.EvEnterRSQ, e.Seq, &e.Trace, 0, -1)
 		}
 		ent := reese.Entry{
 			Seq:         e.Seq,
@@ -963,7 +935,7 @@ func (c *CPU) commitReese() int {
 				ent.CompIgnore = cor.CompIgnoreMask
 				ent.FaultBit = cor.Bit % 32
 				ent.FaultCycle = c.cycle
-				c.faultFired(e.Seq, &e.Trace, "rsq", int(ent.FaultBit))
+				c.faultFired(e.Seq, &e.Trace)
 			}
 		}
 		c.rsq.Enqueue(ent, c.cycle)
@@ -986,9 +958,8 @@ func (c *CPU) commitBaseline() int {
 			panic(fmt.Sprintf("pipeline: bogus instruction reached commit: seq=%d pc=%#x %s", e.Seq, e.Trace.PC, e.Trace.Inst))
 		}
 		used++
-		c.traceEvent(EvCommit, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
+		if c.observed() {
+			c.emit(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
 		}
 		c.retire(e.Trace, e.LSQSeq != ruu.NoProducer, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
 		if c.done {
@@ -1039,9 +1010,8 @@ func (c *CPU) commitDup() int {
 			c.lsq.RemoveHead() // the duplicate's entry is adjacent
 		}
 		used += 2 // both halves of the pair consume commit bandwidth
-		c.traceEvent(EvCommit, &e.Trace, "pair verified")
-		if c.recorder != nil {
-			c.record(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
+		if c.observed() {
+			c.emit(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
 		}
 		c.retire(e.Trace, false, commonMode, e.ResultP, e.AddrP, e.StoreValueP)
 		if c.done {
@@ -1055,9 +1025,8 @@ func (c *CPU) commitDup() int {
 // detection, then flush and replay, mirroring the RSQ path.
 func (c *CPU) onMismatchDup(orig, dup *ruu.Entry) {
 	c.detected++
-	c.traceEvent(EvMismatch, &orig.Trace, "pair comparator hit")
-	if c.recorder != nil {
-		c.record(obs.EvMismatch, orig.Seq, &orig.Trace, 0, -1)
+	if c.observed() {
+		c.emit(obs.EvMismatch, orig.Seq, &orig.Trace, 0, -1)
 	}
 	switch {
 	case orig.HasFault():
@@ -1081,10 +1050,10 @@ func (c *CPU) onMismatchDup(orig, dup *ruu.Entry) {
 // corrupted by an undetected fault); they feed the shadow register file
 // and store hash behind CommitDigest.
 func (c *CPU) retire(tr emu.Trace, isMem, hadFault bool, resultP, addrP, storeValueP uint32) {
-	if c.commitWatch != nil {
+	if c.inst.CommitWatch != nil {
 		// The commit index before increment is the instruction's global
 		// program-order position — the lockstep alignment key.
-		c.commitWatch(c.committed, c.cycle, tr, resultP, addrP, storeValueP)
+		c.inst.CommitWatch(c, c.committed, c.cycle, tr, resultP, addrP, storeValueP)
 	}
 	c.committed++
 	if r, fp, ok := tr.DestReg(); ok {
@@ -1155,12 +1124,8 @@ func (c *CPU) onMismatch(bad *reese.Entry) {
 // for re-fetch.
 func (c *CPU) recover(faultSeq uint64) {
 	c.recoveries++
-	if c.traceW != nil {
-		fmt.Fprintf(c.traceW, "%8d RECOVERY   flush + replay from seq %d\n", c.cycle, faultSeq)
-	}
-	if c.recorder != nil {
-		tr := emu.Trace{PC: c.lastBadPC}
-		c.record(obs.EvRecovery, faultSeq, &tr, 0, -1)
+	if c.observed() {
+		c.emit(obs.EvRecovery, faultSeq, &emu.Trace{PC: c.lastBadPC}, 0, -1)
 	}
 
 	// Rebuild the replay queue into the spare buffer, then swap the two

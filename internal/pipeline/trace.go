@@ -1,143 +1,119 @@
 package pipeline
 
-// Pipeline event tracing — the equivalent of SimpleScalar's ptrace. When
-// enabled, the CPU writes one line per pipeline event (fetch, dispatch,
-// issue, writeback, RSQ entry, R-dispatch, verify, commit, recovery) to
-// an io.Writer, letting a developer watch instructions move through the
-// machine cycle by cycle.
-//
-// The event vocabulary is shared with the flight recorder
-// (internal/obs.Recorder): the same lifecycle points feed both the
-// line-oriented trace and the ring buffer, and both are nil-gated so a
-// run with neither enabled pays only a pointer test per event site.
+// The CPU's instrument seam. Every observer — the text event trace
+// (SimpleScalar's ptrace equivalent), the flight-recorder ring, the
+// triage commit watch and the progress heartbeat — is armed through one
+// Instruments value. Lifecycle sites (fetch, dispatch, issue, writeback,
+// RSQ entry, R-dispatch, verify, commit, mispredict, squash, fault,
+// mismatch, recovery) build one obs.Event each and hand it to one
+// emitter behind one inlinable guard, so a run with no instruments pays
+// a single branch per site and the text trace is a rendering of the
+// same event stream the ring records.
 
 import (
-	"fmt"
 	"io"
+	"sync/atomic"
 
 	"reese/internal/emu"
 	"reese/internal/obs"
 )
 
-// EventKind labels a pipeline trace event. It is an alias of
-// obs.EventKind so the trace and the flight recorder share one
-// vocabulary.
-type EventKind = obs.EventKind
-
-// Pipeline trace events, re-exported for compatibility.
-const (
-	EvFetch         = obs.EvFetch
-	EvDispatch      = obs.EvDispatch
-	EvIssue         = obs.EvIssue
-	EvWriteback     = obs.EvWriteback
-	EvEnterRSQ      = obs.EvEnterRSQ
-	EvDispatchR     = obs.EvDispatchR
-	EvIssueR        = obs.EvIssueR
-	EvVerify        = obs.EvVerify
-	EvCommit        = obs.EvCommit
-	EvMispredict    = obs.EvMispredict
-	EvFaultInjected = obs.EvFaultInjected
-	EvMismatch      = obs.EvMismatch
-	EvRecovery      = obs.EvRecovery
-	EvDivergence    = obs.EvDivergence
-)
-
-// SetTrace directs pipeline event lines to w (nil disables tracing).
-// Call before Run; tracing large runs produces a lot of output.
-func (c *CPU) SetTrace(w io.Writer) { c.traceW = w }
-
-// traceEvent emits one event line if tracing is enabled.
-func (c *CPU) traceEvent(kind EventKind, tr *emu.Trace, detail string) {
-	if c.traceW == nil {
-		return
-	}
-	if detail != "" {
-		fmt.Fprintf(c.traceW, "%8d %-10s %#08x %-24s %s\n", c.cycle, kind, tr.PC, tr.Inst.String(), detail)
-		return
-	}
-	fmt.Fprintf(c.traceW, "%8d %-10s %#08x %s\n", c.cycle, kind, tr.PC, tr.Inst.String())
+// Instruments are the CPU's observers. None of them perturbs the
+// machine: an instrumented run is identical to a bare one. The zero
+// value arms nothing.
+type Instruments struct {
+	// Trace receives one text line per lifecycle event
+	// (obs.Event.AppendText). Tracing large runs produces a lot of
+	// output.
+	Trace io.Writer
+	// Recorder is the flight-recorder ring every lifecycle event is
+	// appended to (fixed cost, no allocation). Dump it with
+	// WriteChromeTrace after the run.
+	Recorder *obs.Recorder
+	// RecorderWindow, when non-zero, freezes the event stream that many
+	// cycles after the injector first fires: the ring then holds the
+	// window around the injection (ring capacity bounds the
+	// pre-context) instead of the tail of the run. Marker events —
+	// fault, mismatch, recovery, divergence — bypass the freeze.
+	RecorderWindow uint64
+	// CommitWatch observes every architectural retire in program order
+	// with the global commit index (seq), the retire cycle, the
+	// committed trace, and the latched result / store address / store
+	// value the shadow state is rebuilt from. It must not mutate the
+	// machine beyond RequestStop and MarkDivergence; it is the triage
+	// pass's lockstep tap.
+	CommitWatch func(c *CPU, seq, cycle uint64, tr emu.Trace, resultP, addrP, storeValueP uint32)
+	// Progress receives committed-instruction deltas at every
+	// context-check interval, so a watchdog sampling it can tell a slow
+	// simulation from a hung one. Several CPUs may share one counter
+	// (a figure grid); the sum stays monotonic.
+	Progress *atomic.Uint64
 }
 
-// SetRecorder arms the flight recorder: every lifecycle event is also
-// appended to r's ring buffer (fixed cost, no allocation). Call before
-// Run; nil disarms. Dump with r.WriteChromeTrace after the run.
-func (c *CPU) SetRecorder(r *obs.Recorder) { c.recorder = r }
-
-// Recorder returns the armed flight recorder (nil when off).
-func (c *CPU) Recorder() *obs.Recorder { return c.recorder }
-
-// MarkDivergence records a DIVERGENCE instant into the flight recorder
-// (no-op when the recorder is off). The triage pass calls it from its
-// commit watch when the lockstep golden comparison finds the first
-// divergent commit; it bypasses the triage freeze window by
-// construction (markers always record).
-func (c *CPU) MarkDivergence(cycle, seq uint64, tr emu.Trace) {
-	if c.recorder == nil {
-		return
-	}
-	c.recorder.Record(obs.Event{
-		Cycle: cycle,
-		Seq:   seq,
-		PC:    tr.PC,
-		Inst:  tr.Inst,
-		Kind:  obs.EvDivergence,
-	})
+// Instrument replaces the CPU's instruments (the zero value disarms
+// them all). Call before Run. Progress counts only commits made after
+// the call, so a forked CPU never credits its checkpoint prefix.
+// Instruments do not survive Snapshot or Fork.
+func (c *CPU) Instrument(in Instruments) {
+	c.inst = in
+	c.progressSeen = c.committed
 }
 
-// record appends one flight-recorder event stamped with the current
-// cycle. Callers on the hot path guard with `c.recorder != nil` first,
-// like the traceW gate, so the disabled cost is one pointer test.
-func (c *CPU) record(kind obs.EventKind, seq uint64, tr *emu.Trace, fuKind uint8, unit int16) {
-	c.recordAt(c.cycle, kind, seq, tr, fuKind, unit)
+func (c *CPU) reportProgress() {
+	if c.inst.Progress != nil && c.committed > c.progressSeen {
+		c.inst.Progress.Add(c.committed - c.progressSeen)
+		c.progressSeen = c.committed
+	}
 }
 
-// recordAt is record with an explicit cycle stamp — used to backdate
-// the fetch event to the cycle the instruction actually entered the
-// fetch queue (its sequence number only exists from dispatch on).
-func (c *CPU) recordAt(cycle uint64, kind obs.EventKind, seq uint64, tr *emu.Trace, fuKind uint8, unit int16) {
-	if c.recorder == nil {
-		return
-	}
-	// Triage window (SetRecorderWindow): once the injector has fired and
-	// the post-injection window has passed, lifecycle recording freezes —
-	// the ring keeps the context around the injection instead of the tail
-	// of the run. Marker kinds always land so late detections and the
-	// divergence instant stay visible.
-	if c.recFreeze != 0 && c.faultCycle != 0 && cycle > c.faultCycle+c.recFreeze {
+// observed is the guard in front of every lifecycle site: true when an
+// event stream sink is armed.
+func (c *CPU) observed() bool { return c.inst.Recorder != nil || c.inst.Trace != nil }
+
+// emit streams one lifecycle event stamped with the current cycle.
+// Callers guard with observed.
+func (c *CPU) emit(kind obs.EventKind, seq uint64, tr *emu.Trace, fuKind uint8, unit int16) {
+	c.emitAt(c.cycle, kind, seq, tr, fuKind, unit)
+}
+
+// emitAt is emit with an explicit cycle stamp — used to backdate the
+// fetch event to the cycle the instruction actually entered the fetch
+// queue (its sequence number only exists from dispatch on).
+func (c *CPU) emitAt(cycle uint64, kind obs.EventKind, seq uint64, tr *emu.Trace, fuKind uint8, unit int16) {
+	if w := c.inst.RecorderWindow; w != 0 && c.faultCycle != 0 && cycle > c.faultCycle+w {
 		switch kind {
 		case obs.EvFaultInjected, obs.EvMismatch, obs.EvRecovery, obs.EvDivergence:
 		default:
 			return
 		}
 	}
-	c.recorder.Record(obs.Event{
-		Cycle: cycle,
-		Seq:   seq,
-		PC:    tr.PC,
-		Inst:  tr.Inst,
-		Kind:  kind,
-		FU:    fuKind,
-		Unit:  unit,
-	})
+	e := obs.Event{Cycle: cycle, Seq: seq, PC: tr.PC, Inst: tr.Inst, Kind: kind, FU: fuKind, Unit: unit}
+	if c.inst.Recorder != nil {
+		c.inst.Recorder.Record(e)
+	}
+	if c.inst.Trace != nil {
+		c.inst.Trace.Write(e.AppendText(nil))
+	}
+}
+
+// MarkDivergence streams a DIVERGENCE marker (no-op when no event sink
+// is armed). The triage pass calls it from its commit watch when the
+// lockstep golden comparison finds the first divergent commit; markers
+// bypass the recorder window.
+func (c *CPU) MarkDivergence(cycle, seq uint64, tr emu.Trace) {
+	if c.observed() {
+		c.emitAt(cycle, obs.EvDivergence, seq, &tr, 0, -1)
+	}
 }
 
 // faultFired books an injector firing at one of the four hook sites:
-// it stamps the first fault cycle (FaultCycle and the triage recorder
-// window key on it) and logs the event to the text trace and the flight
-// recorder. seq and tr name the victim; site and bit (-1 when the site
-// does not report one) annotate the text trace line.
-func (c *CPU) faultFired(seq uint64, tr *emu.Trace, site string, bit int) {
+// it stamps the first fault cycle (FaultCycle and the recorder window
+// key on it) and streams the FAULT event. seq and tr name the victim.
+func (c *CPU) faultFired(seq uint64, tr *emu.Trace) {
 	if c.faultCycle == 0 {
 		c.faultCycle = c.cycle
 	}
-	if c.traceW != nil {
-		detail := site
-		if bit >= 0 {
-			detail = fmt.Sprintf("%s bit %d", site, bit)
-		}
-		c.traceEvent(EvFaultInjected, tr, detail)
-	}
-	if c.recorder != nil {
-		c.record(obs.EvFaultInjected, seq, tr, 0, -1)
+	if c.observed() {
+		c.emit(obs.EvFaultInjected, seq, tr, 0, -1)
 	}
 }

@@ -131,7 +131,7 @@ func TestWrongPathTraceShowsSquash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetTrace(&buf)
+	cpu.Instrument(Instruments{Trace: &buf})
 	if _, err := cpu.Run(2_000); err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ package server
 //     request-supplied via ?timeout=, capped by Config.MaxTimeout,
 //     defaulting to Config.JobTimeout.
 //   - Watchdog: a progress heartbeat (committed instructions sampled
-//     from the running simulation via pipeline.CPU.SetProgress) detects
-//     hung attempts and cancels them as retryable.
+//     from the running simulation via pipeline.Instruments.Progress)
+//     detects hung attempts and cancels them as retryable.
 //   - Retry: transient failures (panic, deadline, watchdog kill) are
 //     retried up to Config.MaxRetries times with exponential backoff
 //     and jitter; the attempt history, last cause, and next-retry time

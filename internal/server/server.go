@@ -699,7 +699,7 @@ func runSimulation(ctx context.Context, req RunRequest, progress *atomic.Uint64)
 	if err != nil {
 		return jobOutput{}, err
 	}
-	cpu.SetProgress(progress)
+	cpu.Instrument(pipeline.Instruments{Progress: progress})
 	res, err := cpu.RunContext(ctx, req.Insts)
 	if err != nil {
 		return jobOutput{}, err

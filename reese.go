@@ -54,6 +54,11 @@ type Injector = fault.Injector
 // want to step or inspect a simulation; most users call Run.
 type CPU = pipeline.CPU
 
+// Instruments are the observers CPU.Instrument arms: the text event
+// trace, the flight recorder, the commit watch and the progress
+// counter.
+type Instruments = pipeline.Instruments
+
 // StartingConfig returns the paper's Table 1 starting configuration
 // with REESE disabled (the baseline machine).
 func StartingConfig() Config { return config.Starting() }

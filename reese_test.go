@@ -137,7 +137,7 @@ func TestCPUStepAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink strings.Builder
-	cpu.SetTrace(&sink)
+	cpu.Instrument(reese.Instruments{Trace: &sink})
 	res, err := cpu.Run(1_000)
 	if err != nil {
 		t.Fatal(err)
