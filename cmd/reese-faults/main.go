@@ -10,6 +10,8 @@
 //	reese-faults -workload li -n 1000    # one workload, 1000 injections
 //	reese-faults -structures result,fetch-pc
 //	reese-faults -jsonl trials.jsonl     # stream per-trial records
+//	reese-faults -workload gcc -jsonl - -trial-cost
+//	                                     # ...with how each trial ended and what it simulated
 //	reese-faults -smoke                  # tiny seeded campaign with assertions
 //	reese-faults -grid                   # sweep all 32 bit positions at one point
 //	reese-faults -workload gcc -n 10000 -workers http://a:8321,http://b:8321
@@ -59,9 +61,10 @@ func run() int {
 		triageDet    = flag.Bool("triage-detected", false, "with -triage, also triage detected outcomes")
 		triageDir    = flag.String("triage-dir", "", "with -triage, write each triaged trial's Perfetto trace here (trace_path lands in the JSONL record)")
 		triageSmoke  = flag.Bool("triage-smoke", false, "seeded triage campaign with assertions; exits non-zero unless every escape carries a trace with injection and first-divergence markers")
+		trialCost    = flag.Bool("trial-cost", false, "add end (spliced, hang or ran), fork_seq and sim_cycles to every JSONL trial record")
 	)
 	flag.Parse()
-	opt := harness.Options{Parallel: *parallel}
+	opt := harness.Options{Parallel: *parallel, TrialCost: *trialCost}
 
 	structs, err := parseStructures(*structures)
 	if err != nil {
@@ -86,6 +89,10 @@ func run() int {
 		return 2
 	}
 	if *workersStr != "" {
+		if *trialCost {
+			fmt.Fprintln(os.Stderr, "reese-faults: -trial-cost applies to local campaigns only")
+			return 2
+		}
 		return runDistributed(distributedArgs{
 			workers:        splitWorkers(*workersStr),
 			workload:       *workloadName,
@@ -524,23 +531,38 @@ func memSmokeMachine() config.Machine {
 // campaign on the PRBS self-checking workload over memory and pipeline
 // structures, asserting (a) the SECDED L2 turns every effective
 // single-bit L2 fault into a correction (zero SDC), (b) the six-way
-// outcome taxonomy accounts for every injection, and (c) symptom-based
+// outcome taxonomy accounts for every injection, (c) symptom-based
 // localization attributes at least 90% of non-masked trials to the
-// right plane.
+// right plane, and (d) the per-trial JSONL is byte-identical to the
+// same campaign re-run with no usable checkpoints (every trial a full
+// simulation), which referees forking and splicing.
 func runMemSmoke(seed uint64, opt harness.Options) int {
+	// Cost records differ between a spliced and a fully simulated trial
+	// by design; the byte comparison below is of the default records.
+	opt.TrialCost = false
 	structs := []fault.Struct{
 		fault.StructResult, fault.StructRSQOperand, fault.StructFetchPC, fault.StructRegFile,
 		fault.StructMemWord, fault.StructL1DDirty, fault.StructL1DTag,
 		fault.StructL2Line, fault.StructDTLB,
 	}
-	rep, err := harness.Campaign(harness.CampaignSpec{
+	spec := harness.CampaignSpec{
 		Workload:    "prbs",
 		Machine:     memSmokeMachine(),
 		Structures:  structs,
 		Injections:  200,
 		Seed:        seed,
 		TargetInsts: 70_000,
-	}, opt)
+	}
+	rep, err := harness.Campaign(spec, opt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reese-faults:", err)
+		return 1
+	}
+	// The same campaign with one checkpoint before the whole run: no
+	// trial forks late or splices, so every trial is a full simulation —
+	// the reference the spliced records must equal byte for byte.
+	spec.CheckpointInterval = 1 << 20
+	full, err := harness.Campaign(spec, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reese-faults:", err)
 		return 1
@@ -559,6 +581,19 @@ func runMemSmoke(seed uint64, opt harness.Options) int {
 			failed = true
 		}
 	}
+	var spliced, simulated bytes.Buffer
+	if err := rep.WriteJSONL(&spliced); err != nil {
+		fmt.Fprintln(os.Stderr, "reese-faults:", err)
+		return 1
+	}
+	if err := full.WriteJSONL(&simulated); err != nil {
+		fmt.Fprintln(os.Stderr, "reese-faults:", err)
+		return 1
+	}
+	if !bytes.Equal(spliced.Bytes(), simulated.Bytes()) {
+		fmt.Fprintln(os.Stderr, "FAIL: trial JSONL differs from full simulation (checkpoint interval 1<<20)")
+		failed = true
+	}
 	if rep.Localized == 0 {
 		fmt.Fprintln(os.Stderr, "FAIL: no trials were localized")
 		failed = true
@@ -570,7 +605,7 @@ func runMemSmoke(seed uint64, opt harness.Options) int {
 	if failed {
 		return 3
 	}
-	fmt.Printf("mem-smoke OK: %d injections classified six ways, ECC absorbed all single-bit L2 faults, localization %.1f%% over %d trials\n",
+	fmt.Printf("mem-smoke OK: %d injections classified six ways, JSONL identical to full simulation, ECC absorbed all single-bit L2 faults, localization %.1f%% over %d trials\n",
 		rep.Injected, rep.LocAccuracy*100, rep.Localized)
 	return 0
 }

@@ -16,14 +16,16 @@ package harness
 //     provably precedes its injection point and simulates only the
 //     suffix.
 //   - At every later golden commit boundary the trial is compared
-//     against the golden machine under sequence/cycle normalization
-//     (pipeline.CPU.ConvergedWith). Once converged, the rest of the run
+//     against the golden machine under sequence/cycle normalization, on
+//     everything the golden suffix will observe (pipeline.Suffix:
+//     predictor reads, cache/TLB accesses, live registers, memory words
+//     it loads or stores). Once future-equivalent, the rest of the run
 //     is spliced from the golden result instead of simulated: final
-//     digests are reconstructed by folding the trial's divergent shadow
-//     state with the golden suffix, and the cycle count is the golden
-//     total shifted by the trial's boundary offset. Trials that never
-//     reconverge (SDC, hangs) simply keep simulating — the fallback is
-//     always sound.
+//     digests are reconstructed by folding the trial's divergent state
+//     with the golden suffix, the memory diff is the boundary diff, and
+//     the cycle count is the golden total shifted by the trial's
+//     boundary offset. Trials that never reconverge (SDC, hangs) simply
+//     keep simulating — the fallback is always sound.
 //
 // Everything here preserves the engine's core contract: equal specs
 // produce byte-identical reports at any parallelism, and every
@@ -38,10 +40,10 @@ import (
 	"sync"
 
 	"reese/internal/bpred"
-
 	"reese/internal/config"
 	"reese/internal/emu"
 	"reese/internal/fault"
+	"reese/internal/isa"
 	"reese/internal/mem"
 	"reese/internal/obs"
 	"reese/internal/pipeline"
@@ -135,17 +137,19 @@ type campaignBundle struct {
 	checkpoints []*pipeline.Checkpoint
 	marks       []uint64
 	// written[i] is the set of (int, fp) registers the golden run
-	// writes at or after checkpoints[i] — the registers whose final
-	// value the golden suffix determines regardless of a trial's shadow
-	// state at the boundary.
-	written [][2]uint32
-	// predReads[i] is the set of branch-predictor pattern-table entries
-	// the golden run consults at or after checkpoints[i]; convergence at
-	// a boundary compares only those entries (recovery replay retrains
-	// the tables, so exact equality would reject trials over counters
-	// that are never read again). Nil when the predictor cannot log
-	// reads.
-	predReads []*bpred.ReadSet
+	// writes at or after checkpoints[i].Committed — the registers whose
+	// final committed value the golden suffix determines regardless of
+	// a trial's shadow state at the boundary. oracleWritten[i] is the
+	// same from the oracle's position checkpoints[i].ICount, for the
+	// oracle digest fold.
+	written       [][2]uint32
+	oracleWritten [][2]uint32
+	// suffix[i] is what the golden run observes after checkpoints[i]:
+	// predictor reads, cache/TLB accesses and live-in registers (see
+	// pipeline.Suffix). A trial is compared at a boundary only on those;
+	// whatever else differs is carried into its final digests and
+	// memory diff by the splicer.
+	suffix []pipeline.Suffix
 
 	finalRes    pipeline.Result
 	finalCommit emu.Digest
@@ -211,6 +215,18 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 		budget: 2*g.total + 20_000,
 	}
 
+	interval := spec.CheckpointInterval
+	var hookMarks []uint64
+	for m := interval; m < g.total; m += interval {
+		hookMarks = append(hookMarks, m)
+	}
+	// Cache/TLB access log for the golden-suffix comparison. Without a
+	// boundary no trial can splice, so a single-checkpoint bundle keeps
+	// none.
+	if len(hookMarks) > 0 {
+		cpu.StartAccessLog()
+	}
+
 	memory := cpu.OracleMemory()
 	memory.EnableDirtyTracking()
 	img := mem.SnapshotPages(memory.Bytes(), nil, nil)
@@ -227,11 +243,6 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 		cpu.SetPredReadLog(curReads)
 	}
 
-	interval := spec.CheckpointInterval
-	var hookMarks []uint64
-	for m := interval; m < g.total; m += interval {
-		hookMarks = append(hookMarks, m)
-	}
 	cpu.SetBoundaryHook(hookMarks, func(c *pipeline.CPU) bool {
 		next := mem.SnapshotPages(memory.Bytes(), memory.DirtyPages(), img)
 		memory.ClearDirty()
@@ -248,6 +259,10 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 	res, err := cpu.Run(b.budget)
 	if err != nil {
 		return nil, fmt.Errorf("harness: golden pipeline run of %s on %s: %w", spec.Workload, spec.Machine.Name, err)
+	}
+	var accesses *mem.HierLog
+	if len(hookMarks) > 0 {
+		accesses = cpu.FinishAccessLog()
 	}
 	b.finalRes = res
 	b.finalCommit = cpu.CommitDigest()
@@ -270,44 +285,78 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 	// checkpoints[i], by reverse union of the interval logs (intervals[j]
 	// covers checkpoint j to j+1; the tail after the last checkpoint is
 	// appended here).
+	var predReads []*bpred.ReadSet
 	if curReads != nil {
 		cpu.SetPredReadLog(nil)
 		intervals = append(intervals, curReads)
 		if len(intervals) != len(b.checkpoints) {
 			return nil, fmt.Errorf("harness: %d predictor read intervals for %d checkpoints", len(intervals), len(b.checkpoints))
 		}
-		b.predReads = make([]*bpred.ReadSet, len(b.checkpoints))
+		predReads = make([]*bpred.ReadSet, len(b.checkpoints))
 		acc := bpred.NewReadSet(predEntries)
 		for i := len(intervals) - 1; i >= 0; i-- {
 			intervals[i].OrInto(acc)
-			b.predReads[i] = acc.Clone()
+			predReads[i] = acc.Clone()
 		}
 	}
 
-	// written[i]: registers the golden run writes at instruction index
-	// >= checkpoints[i].Committed, by one backward scan over the
-	// per-instruction destination records.
-	b.written = make([][2]uint32, len(b.checkpoints))
-	var intM, fpM uint32
-	bi := len(b.checkpoints) - 1
-	for idx := int64(g.total) - 1; idx >= 0; idx-- {
-		for bi >= 0 && b.checkpoints[bi].Committed == uint64(idx)+1 {
-			b.written[bi] = [2]uint32{intM, fpM}
-			bi--
-		}
-		if r := g.destReg[idx]; r != destNone {
-			if g.destFP[idx] {
-				fpM |= 1 << (r & 31)
+	// One backward scan over the golden instruction stream. At position
+	// p (before instruction p), w holds the registers written at or after
+	// p and live those read at or after p before being written there:
+	// live(p) = uses(p) | live(p+1) &^ defs(p). written samples w at each
+	// checkpoint's commit position; oracleWritten and the live-in masks
+	// sample w and live at its oracle position. Sources are decoded from
+	// the golden PC stream, destinations come from the golden scan.
+	n := len(b.checkpoints)
+	b.written = make([][2]uint32, n)
+	b.oracleWritten = make([][2]uint32, n)
+	b.suffix = make([]pipeline.Suffix, n)
+	dec := prog.Decoded()
+	var w, live [2]uint32
+	ci, oi := n-1, n-1
+	for p := int64(g.total); p >= 0; p-- {
+		if p < int64(g.total) {
+			if r := g.destReg[p]; r != destNone {
+				f := b2i(g.destFP[p])
+				w[f] |= 1 << (r & 31)
+				live[f] &^= 1 << (r & 31)
+			}
+			if in, ok := dec.At(g.pcs[p]); ok {
+				f1, f2 := in.Op.SourceFiles()
+				if in.Op.ReadsRs1() {
+					live[b2i(f1 == isa.FileFP)] |= 1 << (in.Rs1 & 31)
+				}
+				if in.Op.ReadsRs2() {
+					live[b2i(f2 == isa.FileFP)] |= 1 << (in.Rs2 & 31)
+				}
 			} else {
-				intM |= 1 << (r & 31)
+				live = [2]uint32{^uint32(0), ^uint32(0)}
+			}
+		}
+		for ; ci >= 0 && b.checkpoints[ci].Committed >= uint64(p); ci-- {
+			b.written[ci] = w
+		}
+		for ; oi >= 0 && b.checkpoints[oi].ICount >= uint64(p); oi-- {
+			b.oracleWritten[oi] = w
+			b.suffix[oi] = pipeline.Suffix{
+				Accesses: accesses,
+				At:       b.checkpoints[oi].Accesses,
+				LiveInt:  live[0],
+				LiveFP:   live[1],
+			}
+			if predReads != nil {
+				b.suffix[oi].PredReads = predReads[oi]
 			}
 		}
 	}
-	for bi >= 0 {
-		b.written[bi] = [2]uint32{intM, fpM}
-		bi--
-	}
 	return b, nil
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // forkPoint returns the index of the latest checkpoint a fault aimed at
@@ -383,39 +432,23 @@ func (w *campaignWorker) adopt(prog *program.Program, img *mem.PageImage) error 
 	return nil
 }
 
-// memConverged reports whether the worker's live memory equals the
-// golden boundary image. Only pages the trial wrote since the fork, or
-// that the golden run changed between fork and boundary (different page
-// identity), can differ; everything else is byte-identical by
-// construction and is skipped.
-func (w *campaignWorker) memConverged(fork, bound *mem.PageImage) bool {
-	dirty := w.mem.DirtyPages()
-	live := w.mem.Bytes()
-	for p := 0; p < bound.NumPages(); p++ {
-		bp := bound.PageAt(p)
-		fp := fork.PageAt(p)
-		if !dirty[p] && &fp[0] == &bp[0] {
-			continue
-		}
-		lo := p * mem.PageSize
-		if !bytes.Equal(live[lo:lo+len(bp)], bp) {
-			return false
-		}
-	}
-	return true
-}
-
-// memDiff measures how the trial's final memory differs from the
-// golden final image: the count of differing 32-bit words and the
-// address span [lo, hi] they cover. Pages neither the trial wrote nor
-// the golden run changed after the fork are identical by construction
-// and are skipped, same as memConverged.
-func (w *campaignWorker) memDiff(fork, final *mem.PageImage) (words int, lo, hi uint32) {
+// memDiff measures how the worker's live memory differs from img: the
+// count of differing 32-bit words and the address span [lo, hi] they
+// cover. Pages neither the trial wrote since the fork nor the golden
+// run changed between fork and img (same page identity) are identical
+// by construction and are skipped. ok is false — and the scan stops —
+// at the first differing word the golden run loads or stores at or
+// after dynamic index from: at a splice boundary (from = the
+// checkpoint's oracle position) only words the golden suffix never
+// touches may differ, and those then stay different to the end, so the
+// boundary diff is the trial's final diff. The final diff passes from
+// = g.total, which no access reaches.
+func (w *campaignWorker) memDiff(fork, img *mem.PageImage, g *golden, from uint64) (words int, lo, hi uint32, ok bool) {
 	dirty := w.mem.DirtyPages()
 	live := w.mem.Bytes()
 	lo = ^uint32(0)
-	for p := 0; p < final.NumPages(); p++ {
-		bp := final.PageAt(p)
+	for p := 0; p < img.NumPages(); p++ {
+		bp := img.PageAt(p)
 		fp := fork.PageAt(p)
 		if !dirty[p] && &fp[0] == &bp[0] {
 			continue
@@ -427,21 +460,19 @@ func (w *campaignWorker) memDiff(fork, final *mem.PageImage) (words int, lo, hi 
 		}
 		for o := 0; o+4 <= len(bp); o += 4 {
 			if lv[o] != bp[o] || lv[o+1] != bp[o+1] || lv[o+2] != bp[o+2] || lv[o+3] != bp[o+3] {
-				words++
 				a := uint32(base + o)
-				if a < lo {
-					lo = a
+				if !g.lastUseBefore(a, from) {
+					return 0, 0, 0, false
 				}
-				if a > hi {
-					hi = a
-				}
+				words++
+				lo, hi = min(lo, a), max(hi, a)
 			}
 		}
 	}
 	if words == 0 {
 		lo = 0
 	}
-	return words, lo, hi
+	return words, lo, hi, true
 }
 
 // getWorker pops a recycled worker (or makes a fresh one).
@@ -456,15 +487,18 @@ func (b *campaignBundle) getWorker() *campaignWorker {
 // eligible checkpoint, filling in the trial's outcome fields exactly as
 // a full from-scratch simulation would have.
 func (b *campaignBundle) runTrial(ctx context.Context, t *Trial, opt Options) error {
-	return b.runTrialInstr(ctx, t, opt, pipeline.Instruments{})
+	return b.simulate(ctx, t, opt, pipeline.Instruments{}, false)
 }
 
-// runTrialInstr is runTrial with extra instruments armed on the forked
+// simulate is runTrial with extra instruments armed on the forked
 // machine (opt.Progress is always added). The triage replay (triage.go)
-// arms the flight recorder and the lockstep commit watch through it;
-// instruments are pure observers, so an instrumented run is
+// arms the flight recorder and the lockstep commit watch through it,
+// with replay set: a replay never splices — its instruments must see
+// the run itself, not a boundary where it stopped early, so its record
+// cannot depend on the checkpoint schedule — and records no trial cost.
+// Instruments are pure observers, so an instrumented run is
 // byte-identical to a bare one.
-func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Options, inst pipeline.Instruments) error {
+func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, inst pipeline.Instruments, replay bool) error {
 	st, _ := fault.ParseStruct(t.Structure)
 	inj := &fault.AtStruct{Struct: st, Seq: t.Seq, Bit: t.Bit, Reg: t.Reg, Addr: t.Addr, Seq2: t.Seq2}
 
@@ -484,40 +518,49 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 	cpu.Instrument(inst)
 	cpu.SetHangFastForward(true)
 
-	// At every golden boundary after the fault fires, try to splice:
-	// if the whole machine (micro-architecture, oracle scalars, memory)
-	// has reconverged with the golden state, the rest of the run is the
-	// golden suffix and needs no simulation.
+	// At every golden boundary after the fault fires, try to splice: if
+	// the trial is future-equivalent to the golden state — everything
+	// the golden suffix observes (micro-architecture, predictor reads,
+	// cache/TLB accesses, live registers, memory words) matches — the
+	// rest of the run is the golden suffix and needs no simulation.
+	// What the suffix never observes (dead registers, unread memory
+	// words, the oracle's store-hash prefix) is carried into the final
+	// digests and memory diff.
 	splicedAt := -1
-	var splicedCommit emu.Digest
-	cpu.SetBoundaryHook(b.marks, func(c *pipeline.CPU) bool {
-		if !inj.Fired() {
-			return false
-		}
-		bi, ok := b.boundaryIndex(c.Committed())
-		if !ok {
-			return false
-		}
-		ck := b.checkpoints[bi]
-		var reads *bpred.ReadSet
-		if b.predReads != nil {
-			reads = b.predReads[bi]
-		}
-		if !ck.StateConvergedMasked(c, reads) {
-			return false
-		}
-		if !w.memConverged(fork.Mem, ck.Mem) {
-			return false
-		}
-		splicedAt = bi
-		splicedCommit = b.spliceCommitDigest(bi, c.CommitDigest())
-		return true
-	})
+	var splicedCommit, splicedOracle emu.Digest
+	var diffWords int
+	var diffLo, diffHi uint32
+	if !replay {
+		cpu.SetBoundaryHook(b.marks, func(c *pipeline.CPU) bool {
+			if !inj.Fired() {
+				return false
+			}
+			bi, ok := b.boundaryIndex(c.Committed())
+			if !ok {
+				return false
+			}
+			ck := b.checkpoints[bi]
+			if !ck.StateConvergedMasked(c, &b.suffix[bi]) {
+				return false
+			}
+			words, lo, hi, ok := w.memDiff(fork.Mem, ck.Mem, b.g, ck.ICount)
+			if !ok {
+				return false
+			}
+			splicedAt = bi
+			diffWords, diffLo, diffHi = words, lo, hi
+			splicedCommit = b.spliceDigest(b.finalCommit, c.CommitDigest(), b.written[bi], ck.StoreCount)
+			od := c.OracleDigest()
+			splicedOracle = b.spliceDigest(b.finalOracle, od, b.oracleWritten[bi], od.StoreCount)
+			return true
+		})
+	}
 
 	res, err := cpu.RunContext(ctx, b.budget)
 	if err != nil {
 		return err
 	}
+	simCycles := res.Cycles - fork.Cycle - cpu.SkippedCycles()
 
 	commit, oracle := cpu.CommitDigest(), cpu.OracleDigest()
 	if splicedAt >= 0 {
@@ -530,7 +573,7 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 		res.Cycles = b.finalRes.Cycles + (res.Cycles - ck.Cycle)
 		res.Committed = b.finalRes.Committed
 		res.Hanged = false
-		commit, oracle = splicedCommit, b.finalOracle
+		commit, oracle = splicedCommit, splicedOracle
 	}
 
 	t.Fired = inj.Fired()
@@ -546,16 +589,14 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 	// Direct memory-plane corruption can escape every digest: a flipped
 	// RAM word nothing reloads, a reverted write-back. Trials that ran
 	// live to completion compare their final memory against the golden
-	// image; a spliced trial proved its memory golden at the boundary
-	// and inherits the golden suffix, so its final memory is golden by
-	// construction, a hung trial's memory is mid-flight (the hang
-	// verdict already stands on its own), and an early-stopped triage
-	// replay's memory is mid-flight too — its caller ignores the
-	// classification fields entirely.
-	diffWords, diffLo, diffHi := 0, uint32(0), uint32(0)
+	// image; a spliced trial's final diff is its boundary diff (above),
+	// a hung trial's memory is mid-flight (the hang verdict already
+	// stands on its own), and an early-stopped triage replay's memory is
+	// mid-flight too — its caller ignores the classification fields
+	// entirely.
 	trialOut := b.g.out
 	if splicedAt < 0 && !res.Hanged && !cpu.StopRequested() {
-		diffWords, diffLo, diffHi = w.memDiff(fork.Mem, b.finalMem)
+		diffWords, diffLo, diffHi, _ = w.memDiff(fork.Mem, b.finalMem, b.g, b.g.total)
 		trialOut = cpu.Output()
 	}
 	t.diffWords, t.diffLo = diffWords, diffLo
@@ -590,34 +631,48 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 			diffHi:       diffHi,
 		}, b.g.out, trialOut)
 	}
+	if opt.TrialCost && !replay {
+		end := "ran"
+		switch {
+		case splicedAt >= 0:
+			end = "spliced"
+		case res.Hanged:
+			end = "hang"
+		}
+		t.TrialCost = &TrialCost{End: end, ForkSeq: fork.Committed, SimCycles: simCycles}
+	}
 	return nil
 }
 
-// spliceCommitDigest reconstructs the final commit digest of a trial
-// that reconverged at boundary bi, without simulating the suffix:
+// spliceDigest reconstructs the final digest (commit or oracle) of a
+// trial that reconverged at a boundary, without simulating the suffix.
+// final is the golden run's final digest of the same kind, boundary the
+// trial's at the boundary, written the registers the golden run writes
+// from the boundary's position on, and from the number of golden stores
+// before that position:
 //
 //   - registers the golden run writes in the suffix end at their golden
 //     final values; the rest keep the trial's boundary values (this is
-//     how a committed-but-dead corruption still surfaces as SDC);
+//     how a committed-but-dead corruption, or a dead oracle register,
+//     still surfaces as SDC);
 //   - the store digest folds the golden suffix store sequence onto the
-//     trial's boundary hash (commit order and values match the golden
+//     trial's boundary hash (the suffix's stores match the golden
 //     suffix exactly once converged — only the prefix hash can differ);
 //   - output, halt state, and counts are the golden finals (the oracle
-//     comparison behind StateConverged requires the boundary output to
-//     match byte-for-byte).
-func (b *campaignBundle) spliceCommitDigest(bi int, boundary emu.Digest) emu.Digest {
-	out := b.finalCommit
-	wInt, wFP := b.written[bi][0], b.written[bi][1]
+//     comparison behind StateConvergedMasked requires the boundary
+//     output and store count to match).
+func (b *campaignBundle) spliceDigest(final, boundary emu.Digest, written [2]uint32, from uint64) emu.Digest {
+	out := final
 	for r := 0; r < 32; r++ {
-		if wInt&(1<<r) == 0 {
+		if written[0]&(1<<r) == 0 {
 			out.Regs[r] = boundary.Regs[r]
 		}
-		if wFP&(1<<r) == 0 {
+		if written[1]&(1<<r) == 0 {
 			out.FRegs[r] = boundary.FRegs[r]
 		}
 	}
 	h := boundary.StoreHash
-	for _, s := range b.g.storeRecs[b.checkpoints[bi].StoreCount:] {
+	for _, s := range b.g.storeRecs[from:] {
 		h = emu.MixStore(h, s.addr, s.width, s.value)
 	}
 	out.StoreHash = h

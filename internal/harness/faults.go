@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -167,6 +169,9 @@ type Trial struct {
 	Latency   uint64 `json:"latency_cycles,omitempty"`
 	Cycles    uint64 `json:"cycles"`
 	Committed uint64 `json:"committed"`
+	// TrialCost is the trial's execution record (Options.TrialCost);
+	// nil otherwise, and its fields are then absent from the JSONL.
+	*TrialCost
 	// Triage is the escape-triage attachment (CampaignSpec.Triage): the
 	// replay verdict, first divergent commit, and trace metadata. Nil for
 	// untriaged trials, so untriaged JSONL is unchanged.
@@ -183,6 +188,22 @@ type Trial struct {
 	diffWords  int
 	diffLo     uint32
 	faultCycle uint64
+}
+
+// TrialCost says how a trial's execution ended and what it cost. Cycles
+// is the golden-shifted total a full simulation would report, which
+// hides the work the trial actually did; these fields show it.
+type TrialCost struct {
+	// End is "spliced" (reconverged with the golden run at a boundary
+	// and inherited its suffix), "hang" (the watchdog fired, possibly
+	// after the hang fast-forward), or "ran" (simulated to the end).
+	End string `json:"end"`
+	// ForkSeq is the committed-instruction position of the checkpoint
+	// the trial forked from.
+	ForkSeq uint64 `json:"fork_seq"`
+	// SimCycles is the cycles the trial simulated from its fork, not
+	// counting cycles the hang fast-forward skipped.
+	SimCycles uint64 `json:"sim_cycles"`
 }
 
 // OutcomeCounts tallies trials per outcome; the six counts always sum
@@ -459,6 +480,46 @@ type golden struct {
 	// dynamic indices of its first and last store — the snapshot point
 	// and fire gate for dirty-bit (lost write-back) faults.
 	blockStores map[uint32][2]uint64
+	// lastUse holds, for every memory word the run loads or stores, the
+	// dynamic index of its last access, sorted by word: a trial word
+	// that differs from the golden image at a splice boundary is
+	// harmless iff the golden suffix never touches it (lastUseBefore).
+	lastUse []wordUse
+}
+
+// wordUse is one lastUse entry.
+type wordUse struct {
+	word uint32
+	last uint64
+}
+
+// lastUseBefore reports whether the golden run accesses no byte of the
+// aligned word at addr at or after dynamic index from.
+func (g *golden) lastUseBefore(addr uint32, from uint64) bool {
+	i := sort.Search(len(g.lastUse), func(i int) bool { return g.lastUse[i].word >= addr })
+	return i == len(g.lastUse) || g.lastUse[i].word != addr || g.lastUse[i].last < from
+}
+
+// buildLastUse derives lastUse from the memory-access lists. Accesses
+// are naturally aligned and at most 4 bytes wide, so each touches
+// exactly one aligned word.
+func (g *golden) buildLastUse() {
+	u := make([]wordUse, len(g.mems))
+	for k, seq := range g.mems {
+		u[k] = wordUse{g.memAddrs[k] &^ 3, seq}
+	}
+	// Stable: within a word, entries stay in execution order, so the
+	// last one holds the largest index.
+	slices.SortStableFunc(u, func(a, b wordUse) int { return cmp.Compare(a.word, b.word) })
+	n := 0
+	for i := range u {
+		if i+1 < len(u) && u[i+1].word == u[i].word {
+			continue
+		}
+		u[n] = u[i]
+		n++
+	}
+	g.lastUse = append([]wordUse(nil), u[:n]...)
 }
 
 // lostWBGranule is the block granularity dirty-bit faults are planned
@@ -548,6 +609,7 @@ func goldenScan(spec workload.Spec, target uint64) (*golden, *program.Program, e
 		g.total = m.InstCount()
 		g.out = append([]byte(nil), m.Output()...)
 		if g.total >= target || iters >= 4096 {
+			g.buildLastUse()
 			return g, prog, nil
 		}
 		// Grow geometrically toward the target; the extrapolated guess

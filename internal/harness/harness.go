@@ -51,6 +51,12 @@ type Options struct {
 	// from a hung one. The counter is cumulative and monotonic across
 	// all cells of a grid or campaign.
 	Progress *atomic.Uint64
+	// TrialCost makes every campaign trial record how it ended and how
+	// much it simulated (Trial.TrialCost: end, fork_seq, sim_cycles). Off
+	// by default, so default JSONL is unchanged; it is an execution
+	// option, not part of CampaignSpec, so spec hashes and cache keys do
+	// not depend on it.
+	TrialCost bool
 }
 
 // DefaultOptions returns the scale used by the test suite and benches.

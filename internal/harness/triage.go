@@ -24,8 +24,10 @@ package harness
 //   - the Brent hang probe's detected loop period
 //     (pipeline.Result.HangPeriod) for hangs.
 //
-// The replay reuses the trial's exact fork and splice machinery, so it
-// is byte-identical to the original run. Non-hang replays stop early
+// The replay reuses the trial's exact fork machinery but never splices
+// (a splice would end the recording at a boundary that depends on the
+// checkpoint schedule); splicing is exact, so the replay still
+// reproduces the original run. Non-hang replays stop early
 // once attribution is settled — the recorder window frozen and the
 // divergence search resolved (see triageHorizon) — because the skipped
 // tail is verification-only; TriageRecord.ReplayOK then asserts prefix
@@ -207,7 +209,7 @@ func triageWanted(o fault.Outcome, detected bool) bool {
 // triageTrial re-runs an escaped trial from its checkpoint with the
 // flight recorder and the lockstep first-divergence watch armed, and
 // attaches the TriageRecord to the trial. The replay reuses runTrial's
-// fork/splice path unchanged, so it reproduces the original byte for
+// fork path without splicing, so it reproduces the original byte for
 // byte; instruments are observers only.
 func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options) error {
 	// Replay into a scratch copy: the plan fields drive the re-run, the
@@ -283,7 +285,7 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 	}
 
 	inst := pipeline.Instruments{Recorder: rec, RecorderWindow: triageWindow, CommitWatch: watch}
-	if err := b.runTrialInstr(ctx, &rt, opt, inst); err != nil {
+	if err := b.simulate(ctx, &rt, opt, inst, true); err != nil {
 		return err
 	}
 

@@ -101,6 +101,10 @@ type Cache struct {
 	// fault record a campaign trial may leave on this cache.
 	plane WordPlane
 	frec  faultRec
+
+	// log, when non-nil, records every access (see future.go); only the
+	// golden run of a fault campaign logs, and clones never carry it.
+	log *accessLog
 }
 
 var _ Level = (*Cache)(nil)
@@ -154,33 +158,26 @@ func (c *Cache) Access(addr uint32, isWrite bool) int {
 	blockAddr := addr >> c.shiftB
 	set := blockAddr & c.maskS
 	tag := blockAddr >> c.shiftS
+	if c.log != nil {
+		c.log.add(set, tag, isWrite)
+	}
 	base := set * c.cfg.Assoc
+	lines := c.lines[base : base+c.cfg.Assoc]
 
-	// Hit?
-	for i := uint32(0); i < c.cfg.Assoc; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == tag {
-			c.stats.Hits++
-			ln.lru = c.clock
-			if isWrite {
-				ln.dirty = true
-			}
-			return c.cfg.HitLatency
+	if w := hitWay(lines, tag); w >= 0 {
+		c.stats.Hits++
+		lines[w].lru = c.clock
+		if isWrite {
+			lines[w].dirty = true
 		}
+		return c.cfg.HitLatency
 	}
 
 	// Miss: fill an empty way if one exists, else evict the LRU line.
 	c.stats.Misses++
-	victim := &c.lines[base]
-	victimIdx := base
-	for i := uint32(1); i < c.cfg.Assoc && victim.valid; i++ {
-		ln := &c.lines[base+i]
-		if !ln.valid || ln.lru < victim.lru {
-			victim = ln
-			victimIdx = base + i
-		}
-	}
-	if c.frec.kind != frNone && c.frec.idx == victimIdx && victim.valid {
+	w := victimWay(lines)
+	victim := &lines[w]
+	if c.frec.kind != frNone && c.frec.idx == base+uint32(w) && victim.valid {
 		c.settleFault(victim)
 	}
 
@@ -198,6 +195,28 @@ func (c *Cache) Access(addr uint32, isWrite bool) int {
 	victim.dirty = isWrite
 	victim.lru = c.clock
 	return latency
+}
+
+// hitWay returns the way of set holding tag, or -1 on a miss.
+func hitWay(set []line, tag uint32) int {
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// victimWay returns the way a miss in set replaces: the first invalid
+// way, else the least recently used line.
+func victimWay(set []line) int {
+	v := 0
+	for i := 1; i < len(set) && set[v].valid; i++ {
+		if !set[i].valid || set[i].lru < set[v].lru {
+			v = i
+		}
+	}
+	return v
 }
 
 // Probe reports whether addr currently hits in the cache, without

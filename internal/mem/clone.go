@@ -17,6 +17,7 @@ func (c *Cache) CloneInto(dst *Cache, next Level) *Cache {
 	dst.lines = append(lines[:0], c.lines...)
 	dst.frec.snap = append(snap[:0], c.frec.snap...)
 	dst.next = next
+	dst.log = nil
 	return dst
 }
 
@@ -28,6 +29,7 @@ func (t *TLB) CloneInto(dst *TLB) *TLB {
 	lines := dst.lines
 	*dst = *t
 	dst.lines = append(lines[:0], t.lines...)
+	dst.log = nil
 	return dst
 }
 
@@ -54,17 +56,28 @@ func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 }
 
 // linesEqualRanked compares two line arrays of the same geometry for
-// future-equivalent state: tags, valid and dirty bits must match
-// exactly, while recency is compared by per-set rank order rather than
-// raw lru clock values. Two machines whose accesses touched a set in
-// the same relative order — but at different absolute clocks, e.g.
-// because one replayed a few instructions after a fault recovery — hit,
-// miss, and evict identically from here on, which is all forked-trial
-// convergence needs.
+// future-equivalent state, set by set (setEqualRanked).
 func linesEqualRanked(a, b []line, assoc uint32) bool {
 	if len(a) != len(b) {
 		return false
 	}
+	for base := uint32(0); base < uint32(len(a)); base += assoc {
+		if !setEqualRanked(a[base:base+assoc], b[base:base+assoc]) {
+			return false
+		}
+	}
+	return true
+}
+
+// setEqualRanked compares one set of two same-geometry caches: tags,
+// valid and dirty bits must match way by way, while recency is compared
+// by rank order within the set rather than raw lru clock values. Two
+// machines whose accesses touched a set in the same relative order —
+// but at different absolute clocks, e.g. because one replayed a few
+// instructions after a fault recovery — hit, miss, and evict
+// identically from here on, which is all forked-trial convergence
+// needs.
+func setEqualRanked(a, b []line) bool {
 	for j := range a {
 		if a[j].valid != b[j].valid {
 			return false
@@ -73,26 +86,21 @@ func linesEqualRanked(a, b []line, assoc uint32) bool {
 			return false
 		}
 	}
-	n := uint32(len(a))
-	for base := uint32(0); base < n; base += assoc {
-		for i := uint32(0); i < assoc; i++ {
-			j := base + i
-			if !a[j].valid {
-				continue
+	for j := range a {
+		if !a[j].valid {
+			continue
+		}
+		var ra, rb int
+		for k := range a {
+			if a[k].valid && a[k].lru < a[j].lru {
+				ra++
 			}
-			var ra, rb int
-			for k := uint32(0); k < assoc; k++ {
-				jk := base + k
-				if a[jk].valid && a[jk].lru < a[j].lru {
-					ra++
-				}
-				if b[jk].valid && b[jk].lru < b[j].lru {
-					rb++
-				}
+			if b[k].valid && b[k].lru < b[j].lru {
+				rb++
 			}
-			if ra != rb {
-				return false
-			}
+		}
+		if ra != rb {
+			return false
 		}
 	}
 	return true
@@ -111,11 +119,12 @@ func (c *Cache) StateEqualRanked(o *Cache) bool {
 	return linesEqualRanked(c.lines, o.lines, c.cfg.Assoc)
 }
 
-// faultRecEqual compares injection residue. A cache carrying an armed
-// (or pending) record can still mutate the architectural plane at a
-// future eviction, so it is never future-equivalent to a clean golden
-// cache — this is what keeps forked-trial splicing from landing before
-// a memory fault has settled.
+// faultRecEqual compares injection residue exactly. A cache carrying an
+// armed (or pending) record can still mutate the architectural plane at
+// a future eviction, so without knowledge of the future it is never
+// equivalent to a clean cache; futureEqual (future.go) is the
+// golden-suffix refinement that admits residue whose settling is
+// provably harmless.
 func faultRecEqual(a, b faultRec) bool {
 	if a.kind != b.kind || a.pending != b.pending {
 		return false

@@ -38,6 +38,7 @@ type TLB struct {
 	lines []line
 	clock uint64
 	stats CacheStats
+	log   *accessLog // golden-run access log (future.go); nil when off
 }
 
 // NewTLB builds a TLB.
@@ -60,23 +61,17 @@ func (t *TLB) Translate(addr uint32) int {
 	page := addr / t.cfg.PageBytes
 	set := page & (t.sets - 1)
 	tag := page / t.sets
+	if t.log != nil {
+		t.log.add(set, tag, false)
+	}
 	base := set * t.cfg.Assoc
-	for i := uint32(0); i < t.cfg.Assoc; i++ {
-		ln := &t.lines[base+i]
-		if ln.valid && ln.tag == tag {
-			t.stats.Hits++
-			ln.lru = t.clock
-			return 0
-		}
+	lines := t.lines[base : base+t.cfg.Assoc]
+	if w := hitWay(lines, tag); w >= 0 {
+		t.stats.Hits++
+		lines[w].lru = t.clock
+		return 0
 	}
 	t.stats.Misses++
-	victim := &t.lines[base]
-	for i := uint32(1); i < t.cfg.Assoc && victim.valid; i++ {
-		ln := &t.lines[base+i]
-		if !ln.valid || ln.lru < victim.lru {
-			victim = ln
-		}
-	}
-	*victim = line{tag: tag, valid: true, lru: t.clock}
+	lines[victimWay(lines)] = line{tag: tag, valid: true, lru: t.clock}
 	return t.cfg.MissLatency
 }

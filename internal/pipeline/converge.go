@@ -10,6 +10,8 @@ package pipeline
 import (
 	"reese/internal/bpred"
 	"reese/internal/emu"
+	"reese/internal/isa"
+	"reese/internal/mem"
 	"reese/internal/ruu"
 )
 
@@ -28,23 +30,59 @@ func relTime(v, now uint64) uint64 {
 	return v - now
 }
 
-// oracleEqual compares the oracles' scalar architectural state exactly
-// (memory is the caller's job — trial memory is compared page-wise
-// against the golden boundary image by the campaign, and the hang probe
-// needs no memory check because an equal instruction count means the
-// oracle — the only memory writer — did not step). The store digest is
-// required equal, not folded: an oracle whose store history diverged
-// and reconverged is vanishingly rare and simply falls back to full
-// simulation.
-func oracleEqual(a, b *emu.Machine) bool {
-	if a.PC() != b.PC() || a.InstCount() != b.InstCount() || a.Halted() != b.Halted() {
+// Suffix is what the golden run observes after one checkpoint — the
+// state a forked trial must match there to be future-equivalent. Trial
+// state the suffix never observes may differ: the splicer carries such
+// differences into the trial's final digests and memory diff instead.
+type Suffix struct {
+	// PredReads marks the branch-predictor pattern-table entries the
+	// golden suffix consults (bpred.ReadSet; see readset.go for the
+	// soundness argument). Recovery replay retrains the tables, so exact
+	// equality would reject most recovered trials over counters that
+	// are never read again. Nil compares the predictor exactly.
+	PredReads *bpred.ReadSet
+	// Accesses is the golden run's cache/TLB access log and At this
+	// checkpoint's position in it; differing sets are compared by
+	// replaying the suffix's accesses (mem.Hierarchy.FutureEqual). A nil
+	// log compares the hierarchy exactly.
+	Accesses *mem.HierLog
+	At       mem.AccessPos
+	// LiveInt and LiveFP mark the registers the golden oracle reads
+	// before writing them at or after the checkpoint's ICount; only
+	// those must match. The oracle store hash need not match either —
+	// the splicer folds it — but the store count must.
+	LiveInt, LiveFP uint32
+}
+
+// oracleEqual compares the oracles' scalar architectural state (memory
+// is the caller's job — trial memory is compared word-wise against the
+// golden boundary image by the campaign, and the hang probe needs no
+// memory check because an equal instruction count means the oracle —
+// the only memory writer — did not step). A nil fut compares exactly;
+// otherwise registers are compared on fut's live-in sets and the store
+// hash is left to the splicer's fold. Sound because the oracle reads a
+// register only as an instruction source: equal live-ins, PC and memory
+// reads make every suffix instruction compute the golden values, and a
+// register the suffix writes before reading ends at its golden value
+// whatever it held at the boundary.
+func oracleEqual(a, b *emu.Machine, fut *Suffix) bool {
+	if a.PC() != b.PC() || a.InstCount() != b.InstCount() || a.Halted() != b.Halted() ||
+		a.StoreCount() != b.StoreCount() {
 		return false
 	}
-	if a.RegFile() != b.RegFile() || a.FRegFile() != b.FRegFile() {
-		return false
-	}
-	if a.StoreHash() != b.StoreHash() || a.StoreCount() != b.StoreCount() {
-		return false
+	if fut == nil {
+		if a.RegFile() != b.RegFile() || a.FRegFile() != b.FRegFile() || a.StoreHash() != b.StoreHash() {
+			return false
+		}
+	} else {
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			if fut.LiveInt&(1<<r) != 0 && a.Reg(r) != b.Reg(r) {
+				return false
+			}
+			if fut.LiveFP&(1<<r) != 0 && a.FReg(r) != b.FReg(r) {
+				return false
+			}
+		}
 	}
 	ao, bo := a.Output(), b.Output()
 	if len(ao) != len(bo) {
@@ -75,13 +113,11 @@ func (c *CPU) ConvergedWith(g *CPU) bool { return c.convergedAt(g, 0, nil) }
 // the hang probe uses the candidate period p, because it compares a
 // machine against its own state p cycles earlier, mid-drought.
 //
-// predReads, when non-nil, bounds the branch-predictor comparison to
-// the pattern-table entries the golden suffix is known to consult
-// (bpred.ReadSet; see readset.go for the soundness argument). Recovery
-// replay retrains the tables, so exact equality would reject most
-// recovered trials over counters that are never read again. A nil set —
-// or a predictor that cannot log reads — compares exactly.
-func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet) bool {
+// fut, when non-nil, bounds the predictor, cache/TLB and oracle
+// register comparisons to what the golden suffix after g observes (see
+// Suffix). The hang probe passes nil: it compares a machine with its
+// own past, which has no logged future, so it compares exactly.
+func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, fut *Suffix) bool {
 	// A stuck-unit fault makes past unit assignments behaviorally
 	// relevant (they are excluded from the entry comparison), so refuse
 	// outright.
@@ -148,12 +184,12 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 		return false
 	}
 	// Oracle plane.
-	if !oracleEqual(c.oracle, g.oracle) {
+	if !oracleEqual(c.oracle, g.oracle, fut) {
 		return false
 	}
 	// Predictors and timing structures.
-	if rl, ok := c.pred.(bpred.ReadLogger); predReads != nil && ok {
-		if !rl.StateEqualOn(g.pred, predReads) {
+	if rl, ok := c.pred.(bpred.ReadLogger); fut != nil && fut.PredReads != nil && ok {
+		if !rl.StateEqualOn(g.pred, fut.PredReads) {
 			return false
 		}
 	} else if !c.pred.StateEqual(g.pred) {
@@ -162,7 +198,11 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 	if !c.btb.StateEqualRanked(g.btb) || !c.ras.StateEqual(g.ras) {
 		return false
 	}
-	if !c.hier.StateEqualRanked(g.hier) {
+	if fut != nil && fut.Accesses != nil {
+		if !c.hier.FutureEqual(g.hier, fut.Accesses, fut.At) {
+			return false
+		}
+	} else if !c.hier.StateEqualRanked(g.hier) {
 		return false
 	}
 	if !c.pool.StateEqualAt(g.pool, c.cycle, g.cycle) {
@@ -298,6 +338,7 @@ func (c *CPU) tryHangFastForward(g *CPU) bool {
 		c.rsq.ExtrapolateStats(g.rsq.Stats(), k)
 	}
 	c.hangPeriod = p
+	c.ffSkipped = target - c.cycle
 	c.cycle = target
 	return true
 }

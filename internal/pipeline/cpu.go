@@ -183,8 +183,10 @@ type CPU struct {
 	ffScratch  *CPU
 	ffProbeAge uint64
 	// hangPeriod is the loop period (cycles) the hang fast-forward
-	// proved, 0 when the watchdog fired without a periodicity proof.
+	// proved, 0 when the watchdog fired without a periodicity proof;
+	// ffSkipped is how many cycles its jump skipped.
 	hangPeriod uint64
+	ffSkipped  uint64
 
 	// faultCycle is the cycle the injector first fired (0 = not yet) —
 	// the anchor for the triage recorder window and divergence deltas.
@@ -560,6 +562,10 @@ func (c *CPU) RunContext(ctx context.Context, maxInsts uint64) (Result, error) {
 // SetHangLimit overrides the no-commit watchdog threshold (0 disables
 // it). Call before Run.
 func (c *CPU) SetHangLimit(cycles uint64) { c.hangLimit = cycles }
+
+// SkippedCycles returns how many cycles the hang fast-forward jumped
+// over instead of simulating (0 when it never fired).
+func (c *CPU) SkippedCycles() uint64 { return c.ffSkipped }
 
 // FaultCycle returns the cycle at which the injector first fired
 // (0 = it never fired).

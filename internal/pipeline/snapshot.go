@@ -39,6 +39,10 @@ type Checkpoint struct {
 	// Mem is the architectural memory image at the boundary (pages
 	// shared copy-on-write with neighbouring checkpoints).
 	Mem *mem.PageImage
+	// Accesses is the position in the cache/TLB access logs at the
+	// boundary (zeros unless the machine was logging; see
+	// StartAccessLog).
+	Accesses mem.AccessPos
 
 	cpu *CPU // deep clone; its oracle is detached from any live memory
 }
@@ -55,6 +59,7 @@ func (c *CPU) Snapshot(img *mem.PageImage) *Checkpoint {
 		HookHorizon: c.hookHorizon,
 		StoreCount:  c.storeCount,
 		Mem:         img,
+		Accesses:    c.hier.AccessPos(),
 		cpu:         c.cloneInto(nil, nil),
 	}
 }
@@ -74,13 +79,12 @@ func (ck *Checkpoint) ForkEligible(seq uint64) bool {
 // page-wise against ck.Mem separately.
 func (ck *Checkpoint) StateConverged(c *CPU) bool { return c.ConvergedWith(ck.cpu) }
 
-// StateConvergedMasked is StateConverged with the branch-predictor
-// comparison bounded to the pattern-table entries the golden suffix
-// after this checkpoint is known to consult (see bpred.ReadSet and the
-// soundness argument in bpred/readset.go). A nil set, or a predictor
-// that cannot log reads, compares exactly.
-func (ck *Checkpoint) StateConvergedMasked(c *CPU, predReads *bpred.ReadSet) bool {
-	return c.convergedAt(ck.cpu, 0, predReads)
+// StateConvergedMasked is StateConverged restricted to what the golden
+// suffix after this checkpoint observes (see Suffix): the pattern-table
+// entries it reads, the cache and TLB accesses it makes, and the oracle
+// registers live at ck.ICount. A nil fut compares exactly.
+func (ck *Checkpoint) StateConvergedMasked(c *CPU, fut *Suffix) bool {
+	return c.convergedAt(ck.cpu, 0, fut)
 }
 
 // PredReadEntries returns the branch predictor's pattern-table size —
@@ -103,6 +107,14 @@ func (c *CPU) SetPredReadLog(rs *bpred.ReadSet) {
 		rl.SetReadLog(rs)
 	}
 }
+
+// StartAccessLog makes the memory hierarchy log every cache and TLB
+// access (a golden instrumented run does, to build Suffix.Accesses);
+// checkpoints taken while logging record their log position.
+func (c *CPU) StartAccessLog() { c.hier.StartAccessLog() }
+
+// FinishAccessLog stops access logging and returns the indexed log.
+func (c *CPU) FinishAccessLog() *mem.HierLog { return c.hier.FinishAccessLog() }
 
 // Fork instantiates a runnable machine from the checkpoint. memory must
 // already hold the checkpoint's architectural image (the caller
