@@ -39,11 +39,15 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Performance gate: rerun the tracked benchmark (instrumentation
-# compiled in but disabled) and fail if sim-insts/s dropped >5% or
-# allocs/op grew versus the newest entry in BENCH_pipeline.json.
+# Performance gate, same host only: build the tracked benchmarks
+# (instrumentation compiled in but disabled) at BENCH_BASE and in the
+# working tree, run them interleaved 7 times, and fail if the median
+# head/base sim-insts/s or injections/s ratio dropped >5% or allocs/op
+# grew versus the newest entry in BENCH_pipeline.json. The default base
+# gates uncommitted changes against the last commit.
+BENCH_BASE ?= HEAD
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkCampaignThroughput' -benchmem . | $(GO) run ./cmd/benchjson -check -out BENCH_pipeline.json
+	$(GO) run ./cmd/benchjson -check -base $(BENCH_BASE) -out BENCH_pipeline.json
 
 # Observability demo: run a REESE simulation with the flight recorder
 # armed, print the stall attribution report, and dump a Perfetto trace.

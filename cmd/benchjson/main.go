@@ -9,11 +9,17 @@
 // line with its standard metrics (ns/op, B/op, allocs/op) and any
 // custom b.ReportMetric values (e.g. sim-insts/s) keyed by unit.
 //
-// With -check the tool becomes a regression gate instead: stdin is
-// compared against the newest tracked entry per benchmark name, and the
-// exit status is 1 if sim-insts/s dropped more than -max-regress
-// percent or allocs/op grew at all. Nothing is appended in this mode —
-// it is what `make bench-smoke` and CI run on every change.
+// With -check -base <ref> the tool becomes a same-host regression gate
+// instead: it extracts <ref> with `git archive` into a temporary
+// directory, builds the tracked benchmarks there and in the working
+// tree, and runs the two binaries interleaved 7 times on this host.
+// It exits 1 if the median head/base ratio of sim-insts/s or
+// injections/s dropped more than -max-regress percent, or if the head's
+// allocs/op grew past the newest tracked entry (allocations do not
+// depend on the host, so they compare with the record). Nothing is
+// appended in this mode — it is what `make bench-smoke` and CI run on
+// every change. Throughput is never compared with a number recorded on
+// another host.
 package main
 
 import (
@@ -22,6 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -39,18 +49,29 @@ type File struct {
 	Entries []Entry `json:"entries"`
 }
 
+// trackedBench selects the benchmarks `make bench` records and -check
+// gates.
+const trackedBench = "BenchmarkSimThroughput|BenchmarkCampaignThroughput"
+
+// rounds is how many times -check runs base and head, interleaved.
+const rounds = 7
+
 func main() {
 	var (
-		out        = flag.String("out", "BENCH_pipeline.json", "tracking file to append to (or compare against with -check)")
+		out        = flag.String("out", "BENCH_pipeline.json", "tracking file to append to (or to read recorded allocs/op from with -check)")
 		label      = flag.String("label", "", "label stored with each entry (e.g. a change description)")
-		check      = flag.Bool("check", false, "compare stdin against the newest tracked entry per benchmark; exit 1 on regression, append nothing")
-		maxRegress = flag.Float64("max-regress", 5, "percent sim-insts/s drop tolerated in -check mode")
+		check      = flag.Bool("check", false, "gate the working tree against -base on this host; exit 1 on regression, append nothing")
+		base       = flag.String("base", "", "git ref the -check gate compares against (e.g. HEAD, origin/main)")
+		maxRegress = flag.Float64("max-regress", 5, "percent median throughput drop tolerated in -check mode")
 	)
 	flag.Parse()
 	var err error
-	if *check {
-		err = runCheck(*out, *maxRegress)
-	} else {
+	switch {
+	case *check && *base == "":
+		err = fmt.Errorf("-check needs -base <ref>: throughput is only compared on one host")
+	case *check:
+		err = runCheck(*out, *base, *maxRegress)
+	default:
 		err = run(*out, *label)
 	}
 	if err != nil {
@@ -59,13 +80,24 @@ func main() {
 	}
 }
 
-func run(out, label string) error {
+// readTracked loads the tracking file (empty when it does not exist).
+func readTracked(out string) (File, error) {
 	var f File
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("%s: %w", out, err)
-		}
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(out)
+	if os.IsNotExist(err) {
+		return f, nil
+	} else if err != nil {
+		return f, err
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return f, fmt.Errorf("%s: %w", out, err)
+	}
+	return f, nil
+}
+
+func run(out, label string) error {
+	f, err := readTracked(out)
+	if err != nil {
 		return err
 	}
 
@@ -100,85 +132,151 @@ func run(out, label string) error {
 	return nil
 }
 
-// runCheck gates a change: each benchmark on stdin is compared against
-// its newest tracked entry. Throughput (sim-insts/s) may drop at most
-// maxRegress percent; allocs/op may not grow at all — the cycle loop is
-// allocation-free by design and a single new allocation per op means
-// something landed on the hot path. Campaign benches (those reporting
-// injections/s) get a percent allocs budget instead, and their
-// throughput delta is reported without gating.
-func runCheck(out string, maxRegress float64) error {
-	data, err := os.ReadFile(out)
+// runCheck gates the working tree against ref on this host. Each round
+// runs the base and head benchmark binaries back to back, alternating
+// which goes first, so drifting machine load hits both sides alike.
+// Throughput is gated on the median per-round head/base ratio;
+// allocs/op, which does not depend on the host, on the head's median
+// against the newest entry recorded in out. The cycle loop is
+// allocation-free by design, so hot-path benches get no allocs growth;
+// campaign benches (those reporting injections/s) allocate per trial
+// through a sync.Pool whose hit rate depends on GC timing and get the
+// percent budget.
+func runCheck(out, ref string, maxRegress float64) error {
+	f, err := readTracked(out)
 	if err != nil {
 		return err
 	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("%s: %w", out, err)
-	}
-	// Entries are appended chronologically; the last per name wins.
-	base := make(map[string]Entry)
+	recorded := make(map[string]Entry) // the last entry per name wins
 	for _, e := range f.Entries {
-		base[e.Name] = e
+		recorded[e.Name] = e
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: host cpu=%q nproc=%d go=%s/%s; %s vs working tree, %d rounds\n",
+		cpuModel(), runtime.NumCPU(), runtime.Version(), runtime.GOARCH, ref, rounds)
+
+	tmp, err := os.MkdirTemp("", "benchjson-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	dirs := [2]string{filepath.Join(tmp, "base"), "."}
+	bins := [2]string{filepath.Join(tmp, "base.test"), filepath.Join(tmp, "head.test")}
+	if err := os.Mkdir(dirs[0], 0o755); err != nil {
+		return err
+	}
+	// The module is stdlib-only, so building the base needs no network.
+	tarball := filepath.Join(tmp, "base.tar")
+	build := func(i int) *exec.Cmd {
+		cmd := exec.Command("go", "test", "-c", "-o", bins[i], ".")
+		cmd.Dir = dirs[i]
+		return cmd
+	}
+	for _, cmd := range []*exec.Cmd{
+		exec.Command("git", "archive", "--format=tar", "-o", tarball, ref),
+		exec.Command("tar", "-xf", tarball, "-C", dirs[0]),
+		build(0), build(1),
+	} {
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		if err := cmd.Run(); err != nil {
+			return fmt.Errorf("%s: %w", strings.Join(cmd.Args, " "), err)
+		}
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	// runs[side][name] holds one entry per round; side 0 is the base.
+	runs := [2]map[string][]Entry{{}, {}}
+	for r := 0; r < 2*rounds; r++ {
+		side := (r + r/2) % 2
+		cmd := exec.Command(bins[side], "-test.run", "^$", "-test.bench", trackedBench,
+			"-test.benchmem", "-test.timeout", "10m")
+		cmd.Dir, cmd.Stderr = dirs[side], os.Stderr
+		raw, err := cmd.Output()
+		if err != nil {
+			return fmt.Errorf("%s: %w", bins[side], err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if e, ok := parseLine(line); ok {
+				fmt.Fprintf(os.Stderr, "%s %s\n", [2]string{"base", "head"}[side], line)
+				runs[side][e.Name] = append(runs[side][e.Name], e)
+			}
+		}
+	}
+
+	var names []string
+	for name := range runs[1] {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	checked := 0
 	var failures []string
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		e, ok := parseLine(line)
-		if !ok {
-			continue
-		}
-		b, ok := base[e.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: %s has no tracked baseline in %s; skipping\n", e.Name, out)
+	for _, name := range names {
+		head, base := runs[1][name], runs[0][name]
+		if len(base) != len(head) {
+			fmt.Fprintf(os.Stderr, "benchjson: %s did not run at %s; skipping\n", name, ref)
 			continue
 		}
 		checked++
-		if bt, nt := b.Metrics["sim-insts/s"], e.Metrics["sim-insts/s"]; bt > 0 {
-			drop := 100 * (bt - nt) / bt
-			fmt.Fprintf(os.Stderr, "benchjson: %s sim-insts/s %.0f -> %.0f (%+.1f%%)\n", e.Name, bt, nt, -drop)
-			if drop > maxRegress {
-				failures = append(failures, fmt.Sprintf(
-					"%s: sim-insts/s regressed %.1f%% (%.0f -> %.0f, budget %.1f%%)",
-					e.Name, drop, bt, nt, maxRegress))
+		for _, unit := range []string{"sim-insts/s", "injections/s"} {
+			var ratios []float64
+			for i := range head {
+				if b := base[i].Metrics[unit]; b > 0 {
+					ratios = append(ratios, head[i].Metrics[unit]/b)
+				}
+			}
+			if len(ratios) == 0 {
+				continue
+			}
+			m := median(ratios)
+			fmt.Fprintf(os.Stderr, "benchjson: %s %s median head/base %.3f (rounds %.3f)\n", name, unit, m, ratios)
+			if drop := 100 * (1 - m); drop > maxRegress {
+				failures = append(failures, fmt.Sprintf("%s: %s regressed %.1f%% against %s on this host (median of %d rounds, budget %.1f%%)",
+					name, unit, drop, ref, len(ratios), maxRegress))
 			}
 		}
-		campaign := e.Metrics["injections/s"] > 0
-		if bt, nt := b.Metrics["injections/s"], e.Metrics["injections/s"]; bt > 0 {
-			// Informational only: campaign wall time on a loaded runner is
-			// too noisy to gate, but the trajectory is tracked.
-			fmt.Fprintf(os.Stderr, "benchjson: %s injections/s %.0f -> %.0f (%+.1f%%)\n",
-				e.Name, bt, nt, 100*(nt-bt)/bt)
+		rec, ok := recorded[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchjson: %s has no recorded allocs/op in %s; skipping\n", name, out)
+			continue
 		}
-		// The cycle loop is allocation-free by design, so hot-path benches
-		// get zero allocs/op growth. Campaign benches allocate per trial
-		// and recycle workers through a sync.Pool whose hit rate depends
-		// on GC timing; hold those to a percent budget instead.
-		allocBudget := 0.0
-		if campaign {
-			allocBudget = maxRegress
+		allocs := make([]float64, len(head))
+		for i := range head {
+			allocs[i] = head[i].Metrics["allocs/op"]
 		}
-		if ba, na := b.Metrics["allocs/op"], e.Metrics["allocs/op"]; na > ba*(1+allocBudget/100) {
-			failures = append(failures, fmt.Sprintf(
-				"%s: allocs/op grew %.0f -> %.0f (hot path must stay allocation-free)",
-				e.Name, ba, na))
+		budget := 0.0
+		if head[0].Metrics["injections/s"] > 0 {
+			budget = maxRegress
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
+		ra, na := rec.Metrics["allocs/op"], median(allocs)
+		fmt.Fprintf(os.Stderr, "benchjson: %s allocs/op %.0f recorded -> %.0f\n", name, ra, na)
+		if na > ra*(1+budget/100) {
+			failures = append(failures, fmt.Sprintf("%s: allocs/op grew %.0f -> %.0f (budget %.0f%%)", name, ra, na, budget))
+		}
 	}
 	if checked == 0 {
-		return fmt.Errorf("no benchmark lines with a tracked baseline found on stdin")
+		return fmt.Errorf("no tracked benchmark ran on both %s and the working tree", ref)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("performance gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within budget (max regress %.1f%%, allocs unchanged)\n", checked, maxRegress)
+	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within budget against %s (max regress %.1f%%)\n", checked, ref, maxRegress)
 	return nil
+}
+
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
+// cpuModel reads the CPU model name the kernel reports ("unknown" where
+// /proc/cpuinfo is unavailable).
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo")
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // parseLine parses one result line of `go test -bench` output:

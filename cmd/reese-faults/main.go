@@ -160,7 +160,7 @@ func run() int {
 				TriageDetected:     *triageDet,
 			}
 			if len(structs) > 0 {
-				spec.Structures = usable(structs, cfg)
+				spec.Structures = harness.UsableStructures(structs, cfg)
 			}
 			if sink != nil || *triage || *triageDet {
 				// Traces are persisted (and trace_path stamped) inside the
@@ -277,7 +277,7 @@ func runDistributed(a distributedArgs) int {
 		machine := m
 		var names []string
 		if len(a.structs) > 0 {
-			for _, st := range usable(a.structs, machine) {
+			for _, st := range harness.UsableStructures(a.structs, machine) {
 				names = append(names, st.String())
 			}
 		}
@@ -364,25 +364,6 @@ func parseStructures(s string) ([]fault.Struct, error) {
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-// usable drops RSQ-only structures when cfg has no R-stream Queue, so
-// one -structures list works for both halves of the comparison.
-func usable(structs []fault.Struct, cfg config.Machine) []fault.Struct {
-	rsq := cfg.Reese.Enabled && cfg.Reese.Mode != config.ModeDupDispatch
-	var out []fault.Struct
-	for _, st := range structs {
-		if st.NeedsRSQ() && !rsq {
-			continue
-		}
-		out = append(out, st)
-	}
-	if len(out) == 0 {
-		// Only RSQ structures were requested and this machine has none;
-		// fall back to the result structure so the campaign is non-empty.
-		out = []fault.Struct{fault.StructResult}
-	}
-	return out
 }
 
 func emitJSON(reports []harness.CampaignReport) int {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,13 @@ import (
 // newWorker starts one in-process reese-serve replica.
 func newWorker(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
+	return newWrappedWorker(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedWorker is newWorker serving the replica's handler through
+// wrap.
+func newWrappedWorker(t *testing.T, cfg server.Config, wrap func(http.Handler) http.Handler) (*server.Server, *httptest.Server) {
+	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -30,7 +38,7 @@ func newWorker(t *testing.T, cfg server.Config) (*server.Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(wrap(s.Handler()))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -145,7 +153,21 @@ func TestClusterKillWorkerSmoke(t *testing.T) {
 	}
 
 	_, tsA := newWorker(t, server.Config{Workers: 1})
-	_, tsB := newWorker(t, server.Config{Workers: 1})
+	// Worker B is gated: once its first shard is assigned, every request
+	// it receives blocks until the kill has severed its connections, then
+	// aborts. B therefore cannot report any shard complete before the
+	// kill lands, however fast the shard runs.
+	var armed atomic.Bool
+	gate := make(chan struct{})
+	_, tsB := newWrappedWorker(t, server.Config{Workers: 1}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if armed.Load() {
+				<-gate
+				panic(http.ErrAbortHandler)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 
 	var (
 		kill       sync.Once
@@ -164,13 +186,16 @@ func TestClusterKillWorkerSmoke(t *testing.T) {
 			retried++
 		}
 		mu.Unlock()
-		// The first shard assigned to worker B triggers its death: sever
-		// every open connection (poll heartbeats included), then close the
-		// listener so reconnects are refused — a hard kill.
+		// The first shard assigned to worker B triggers its death: arm the
+		// gate before the coordinator can poll, sever every open connection
+		// (poll heartbeats included), release the gated requests to abort,
+		// then close the listener so reconnects are refused — a hard kill.
 		if ev.Worker == tsB.URL && ev.Type == "assigned" {
 			kill.Do(func() {
+				armed.Store(true)
 				go func() {
 					tsB.CloseClientConnections()
+					close(gate)
 					tsB.Close()
 				}()
 			})

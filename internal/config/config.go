@@ -310,6 +310,13 @@ func (m Machine) WithFUs(c fu.Config) Machine {
 	return m
 }
 
+// HasRSQ reports whether the machine verifies through an R-stream
+// Queue: REESE enabled in ModeRSQ. Only such machines have the RSQ
+// fault structures.
+func (m Machine) HasRSQ() bool {
+	return m.Reese.Enabled && m.Reese.Mode == ModeRSQ
+}
+
 // WithDupDispatch returns a copy running the duplicate-at-the-scheduler
 // comparison scheme instead of the R-stream Queue.
 func (m Machine) WithDupDispatch() Machine {

@@ -399,6 +399,20 @@ type campaignWorker struct {
 	lock *emu.Machine
 	// rec is the recycled triage flight-recorder ring (locks pool only).
 	rec *obs.Recorder
+	// splice is the current trial's splice verdict, reset per trial. It
+	// lives here rather than in simulate's locals because the boundary
+	// hook closure writes it: captured locals would each move to the
+	// heap once per trial.
+	splice spliceState
+}
+
+// spliceState is what the boundary hook records when a trial splices
+// back onto the golden run.
+type spliceState struct {
+	at             int // boundary index spliced at; -1 = never spliced
+	commit, oracle emu.Digest
+	diffWords      int
+	diffLo, diffHi uint32
 }
 
 // adopt restores the worker's memory to the checkpoint image, copying
@@ -526,10 +540,8 @@ func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, in
 	// What the suffix never observes (dead registers, unread memory
 	// words, the oracle's store-hash prefix) is carried into the final
 	// digests and memory diff.
-	splicedAt := -1
-	var splicedCommit, splicedOracle emu.Digest
-	var diffWords int
-	var diffLo, diffHi uint32
+	sp := &w.splice
+	*sp = spliceState{at: -1}
 	if !replay {
 		cpu.SetBoundaryHook(b.marks, func(c *pipeline.CPU) bool {
 			if !inj.Fired() {
@@ -547,11 +559,11 @@ func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, in
 			if !ok {
 				return false
 			}
-			splicedAt = bi
-			diffWords, diffLo, diffHi = words, lo, hi
-			splicedCommit = b.spliceDigest(b.finalCommit, c.CommitDigest(), b.written[bi], ck.StoreCount)
+			sp.at = bi
+			sp.diffWords, sp.diffLo, sp.diffHi = words, lo, hi
+			sp.commit = b.spliceDigest(b.finalCommit, c.CommitDigest(), b.written[bi], ck.StoreCount)
 			od := c.OracleDigest()
-			splicedOracle = b.spliceDigest(b.finalOracle, od, b.oracleWritten[bi], od.StoreCount)
+			sp.oracle = b.spliceDigest(b.finalOracle, od, b.oracleWritten[bi], od.StoreCount)
 			return true
 		})
 	}
@@ -563,8 +575,8 @@ func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, in
 	simCycles := res.Cycles - fork.Cycle - cpu.SkippedCycles()
 
 	commit, oracle := cpu.CommitDigest(), cpu.OracleDigest()
-	if splicedAt >= 0 {
-		ck := b.checkpoints[splicedAt]
+	if sp.at >= 0 {
+		ck := b.checkpoints[sp.at]
 		// The trial ran [fork, boundary] live; the golden run covers the
 		// rest. Total cycles are the golden total shifted by how far the
 		// trial's boundary arrival drifted from the golden run's (a
@@ -573,7 +585,7 @@ func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, in
 		res.Cycles = b.finalRes.Cycles + (res.Cycles - ck.Cycle)
 		res.Committed = b.finalRes.Committed
 		res.Hanged = false
-		commit, oracle = splicedCommit, splicedOracle
+		commit, oracle = sp.commit, sp.oracle
 	}
 
 	t.Fired = inj.Fired()
@@ -595,7 +607,8 @@ func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, in
 	// mid-flight too — its caller ignores the classification fields
 	// entirely.
 	trialOut := b.g.out
-	if splicedAt < 0 && !res.Hanged && !cpu.StopRequested() {
+	diffWords, diffLo, diffHi := sp.diffWords, sp.diffLo, sp.diffHi
+	if sp.at < 0 && !res.Hanged && !cpu.StopRequested() {
 		diffWords, diffLo, diffHi, _ = w.memDiff(fork.Mem, b.finalMem, b.g, b.g.total)
 		trialOut = cpu.Output()
 	}
@@ -634,7 +647,7 @@ func (b *campaignBundle) simulate(ctx context.Context, t *Trial, opt Options, in
 	if opt.TrialCost && !replay {
 		end := "ran"
 		switch {
-		case splicedAt >= 0:
+		case sp.at >= 0:
 			end = "spliced"
 		case res.Hanged:
 			end = "hang"

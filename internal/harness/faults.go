@@ -126,16 +126,27 @@ func (s CampaignSpec) withDefaults() (_ CampaignSpec, defaulted bool) {
 		s.CheckpointInterval = DefaultCheckpointInterval
 	}
 	if len(s.Structures) == 0 {
-		s.Structures = fault.Structures(s.rsq())
+		s.Structures = fault.Structures(s.Machine.HasRSQ())
 		defaulted = true
 	}
 	return s, defaulted
 }
 
-// rsq reports whether the machine has an R-stream Queue (the RSQ fault
-// structures only exist there).
-func (s CampaignSpec) rsq() bool {
-	return s.Machine.Reese.Enabled && s.Machine.Reese.Mode != config.ModeDupDispatch
+// UsableStructures drops the RSQ-only structures from a non-empty list
+// when m has no R-stream Queue, so one list serves every machine of a
+// comparison. If nothing is left it falls back to the result latch, so
+// the campaign stays non-empty.
+func UsableStructures(structs []fault.Struct, m config.Machine) []fault.Struct {
+	var out []fault.Struct
+	for _, st := range structs {
+		if !st.NeedsRSQ() || m.HasRSQ() {
+			out = append(out, st)
+		}
+	}
+	if len(out) == 0 {
+		out = []fault.Struct{fault.StructResult}
+	}
+	return out
 }
 
 // Trial is one injected run: where the fault landed and what became of
@@ -772,7 +783,7 @@ func Campaign(spec CampaignSpec, opt Options) (*CampaignReport, error) {
 		if st >= fault.NumStructs {
 			return nil, fmt.Errorf("harness: unknown fault structure %d", st)
 		}
-		if st.NeedsRSQ() && !spec.rsq() {
+		if st.NeedsRSQ() && !spec.Machine.HasRSQ() {
 			return nil, fmt.Errorf("harness: structure %s requires an R-stream Queue; machine %s has none", st, spec.Machine.Name)
 		}
 	}

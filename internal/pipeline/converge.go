@@ -124,7 +124,7 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, fut *Suffix) bool {
 	if c.stuck != nil || g.stuck != nil {
 		return false
 	}
-	if c.dupMode != g.dupMode || c.hangLimit != g.hangLimit {
+	if c.hangLimit != g.hangLimit {
 		return false
 	}
 	if c.committed != g.committed || c.done != g.done || c.permError != g.permError ||
@@ -180,9 +180,6 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, fut *Suffix) bool {
 			return false
 		}
 	}
-	if c.rLive != g.rLive {
-		return false
-	}
 	// Oracle plane.
 	if !oracleEqual(c.oracle, g.oracle, fut) {
 		return false
@@ -212,53 +209,16 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, fut *Suffix) bool {
 	if !ruu.Converged(c.ruu, g.ruu, c.lsq, g.lsq, c.cycle, g.cycle) {
 		return false
 	}
-	if (c.rsq == nil) != (g.rsq == nil) {
-		return false
-	}
-	if c.rsq != nil {
-		if !c.rsq.StateConverged(g.rsq, c.cycle, g.cycle, c.lsq.NormSeq, g.lsq.NormSeq) {
-			return false
-		}
-		// Under partial re-execution the skip decision of FUTURE enqueues
-		// depends on absolute sequence numbers, so relative convergence
-		// is not enough: require exact alignment.
-		if c.rsq.Every() > 1 && c.ruu.NextSeq() != g.ruu.NextSeq() {
-			return false
-		}
-	}
-	return true
+	return c.det.converged(c, g)
 }
 
-// hangCounters is the per-cycle accumulator snapshot the hang
-// fast-forward extrapolates: every counter that feeds Result and can
-// advance during a wedged cycle.
-type hangCounters struct {
-	fetchICacheStallCycles uint64
-	fetchBranchStallCycles uint64
-	dispatchRUUFull        uint64
-	dispatchLSQFull        uint64
-	branches               uint64
-	mispredicts            uint64
-	wpFetched              uint64
-	wpSquashed             uint64
-	rsqOccSum              uint64
-	detected               uint64
-	recoveries             uint64
-}
-
-func (c *CPU) hangCounters() hangCounters {
-	return hangCounters{
-		fetchICacheStallCycles: c.fetchICacheStallCycles,
-		fetchBranchStallCycles: c.fetchBranchStallCycles,
-		dispatchRUUFull:        c.dispatchRUUFull,
-		dispatchLSQFull:        c.dispatchLSQFull,
-		branches:               c.branches,
-		mispredicts:            c.mispredicts,
-		wpFetched:              c.wpFetched,
-		wpSquashed:             c.wpSquashed,
-		rsqOccSum:              c.rsqOccSum,
-		detected:               c.detected,
-		recoveries:             c.recoveries,
+// hangCounters lists every CPU counter that feeds Result and can
+// advance during a wedged cycle — what the hang fast-forward
+// extrapolates.
+func (c *CPU) hangCounters() [10]*uint64 {
+	return [10]*uint64{
+		&c.fetchICacheStallCycles, &c.fetchBranchStallCycles, &c.dispatchRUUFull, &c.dispatchLSQFull,
+		&c.branches, &c.mispredicts, &c.wpFetched, &c.wpSquashed, &c.detected, &c.recoveries,
 	}
 }
 
@@ -311,18 +271,10 @@ func (c *CPU) tryHangFastForward(g *CPU) bool {
 
 	// Extrapolate accumulators: cur + (cur - prev) * k, where cur - prev
 	// is exactly one period's growth.
-	cur, prev := c.hangCounters(), g.hangCounters()
-	c.fetchICacheStallCycles += (cur.fetchICacheStallCycles - prev.fetchICacheStallCycles) * k
-	c.fetchBranchStallCycles += (cur.fetchBranchStallCycles - prev.fetchBranchStallCycles) * k
-	c.dispatchRUUFull += (cur.dispatchRUUFull - prev.dispatchRUUFull) * k
-	c.dispatchLSQFull += (cur.dispatchLSQFull - prev.dispatchLSQFull) * k
-	c.branches += (cur.branches - prev.branches) * k
-	c.mispredicts += (cur.mispredicts - prev.mispredicts) * k
-	c.wpFetched += (cur.wpFetched - prev.wpFetched) * k
-	c.wpSquashed += (cur.wpSquashed - prev.wpSquashed) * k
-	c.rsqOccSum += (cur.rsqOccSum - prev.rsqOccSum) * k
-	c.detected += (cur.detected - prev.detected) * k
-	c.recoveries += (cur.recoveries - prev.recoveries) * k
+	prev := g.hangCounters()
+	for i, cur := range c.hangCounters() {
+		*cur += (*cur - *prev[i]) * k
+	}
 	c.detectLat.ExtrapolateFrom(g.detectLat, k)
 	for s := range c.stalls.Used {
 		c.stalls.Used[s] += (c.stalls.Used[s] - g.stalls.Used[s]) * k
@@ -334,9 +286,7 @@ func (c *CPU) tryHangFastForward(g *CPU) bool {
 	c.hier.L1I.ExtrapolateStats(g.hier.L1I.Stats(), k)
 	c.hier.L1D.ExtrapolateStats(g.hier.L1D.Stats(), k)
 	c.hier.L2.ExtrapolateStats(g.hier.L2.Stats(), k)
-	if c.rsq != nil {
-		c.rsq.ExtrapolateStats(g.rsq.Stats(), k)
-	}
+	c.det.extrapolate(g.det, k)
 	c.hangPeriod = p
 	c.ffSkipped = target - c.cycle
 	c.cycle = target

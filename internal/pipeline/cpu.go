@@ -79,14 +79,9 @@ type CPU struct {
 
 	ruu *ruu.RUU
 	lsq *ruu.LSQ
-	rsq *reese.Queue // nil unless REESE enabled in RSQ mode
-	// dupMode selects the duplicate-at-the-scheduler comparison scheme
-	// (config.ModeDupDispatch): every instruction dispatches as an
-	// adjacent (original, duplicate) pair compared at commit.
-	dupMode bool
-	// rLive counts dispatched R copies whose comparison has not
-	// completed; they occupy window slots (see windowFree).
-	rLive int
+	// det is the machine's redundancy scheme (detector.go), chosen once
+	// in New: none, the R-stream Queue, or dup-dispatch.
+	det detector
 
 	// injector supplies transient faults at the four hook sites
 	// (writeback latch, oracle step, RSQ enqueue, memory hierarchy). New
@@ -236,10 +231,6 @@ type CPU struct {
 	branches    uint64
 	mispredicts uint64
 
-	// RSQ occupancy sampling (REESE machines).
-	rsqOccSum uint64
-	rsqOccMax uint64
-
 	// classCommits counts retired instructions per functional-unit
 	// class (the dynamic instruction mix).
 	classCommits [8]uint64
@@ -317,6 +308,10 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 	if err != nil {
 		return nil, err
 	}
+	det, err := newDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
 	c := &CPU{
 		cfg:       cfg,
 		oracle:    oracle,
@@ -330,6 +325,7 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 		ras:       ras,
 		ruu:       r,
 		lsq:       lsq,
+		det:       det,
 		detectLat: stats.NewHistogram(1),
 		hangLimit: DefaultHangLimit,
 		storeHash: emu.DigestSeed,
@@ -339,17 +335,6 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 		c.injector = injector
 	}
 	c.hier.SetWordPlane(c.oracle.Mem())
-	if cfg.Reese.Enabled {
-		if cfg.Reese.Mode == config.ModeDupDispatch {
-			c.dupMode = true
-		} else {
-			c.rsq, err = reese.New(cfg.Reese.RSQSize, cfg.Reese.HighWater, cfg.Reese.ReexecuteEvery)
-			if err != nil {
-				return nil, err
-			}
-			c.rsq.SetRESO(cfg.Reese.RESO)
-		}
-	}
 	return c, nil
 }
 
@@ -593,16 +578,9 @@ func (c *CPU) step() {
 	nCommit := c.commit()
 	c.writeback()
 	nIssue := c.issue()
-	nDisp := c.dispatch()
+	nDisp := c.det.dispatch(c)
 	c.fetch()
 	c.chargeStalls(nDisp, nIssue, nCommit)
-	if c.rsq != nil {
-		occ := uint64(c.rsq.Len())
-		c.rsqOccSum += occ
-		if occ > c.rsqOccMax {
-			c.rsqOccMax = occ
-		}
-	}
 	c.cycle++
 }
 
@@ -679,12 +657,11 @@ func (c *CPU) result() Result {
 	if c.branches > 0 {
 		res.BranchAcc = 1 - float64(c.mispredicts)/float64(c.branches)
 	}
-	if c.rsq != nil {
-		s := c.rsq.Stats()
-		res.Reese = &s
-		res.RSQOccupancyMax = c.rsqOccMax
+	if s := c.det.stats(); s != nil {
+		res.Reese = s
+		res.RSQOccupancyMax = s.OccupancyMax
 		if c.cycle > 0 {
-			res.RSQOccupancyMean = float64(c.rsqOccSum) / float64(c.cycle)
+			res.RSQOccupancyMean = float64(s.OccupancySum) / float64(c.cycle)
 		}
 	}
 	if c.detectLat.Count() > 0 {

@@ -90,7 +90,7 @@ func TestSchemesGolden(t *testing.T) {
 		}
 		for _, s := range schemes {
 			ts := trials
-			if s.cfg.Reese.Enabled && s.cfg.Reese.Mode == config.ModeRSQ {
+			if s.cfg.HasRSQ() {
 				ts = append(append([]trial(nil), trials...), rsqTrials...)
 			}
 			for _, tr := range ts {

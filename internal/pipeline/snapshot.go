@@ -170,7 +170,7 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	pool := dst.pool
 	r := dst.ruu
 	lq := dst.lsq
-	rq := dst.rsq
+	det := dst.det
 	fq := dst.fetchQ
 	rpq := dst.replayQ
 	rps := dst.replayScratch
@@ -191,10 +191,7 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	dst.ras = c.ras.Clone()
 	dst.ruu = c.ruu.CloneInto(r)
 	dst.lsq = c.lsq.CloneInto(lq)
-	dst.rsq = nil
-	if c.rsq != nil {
-		dst.rsq = c.rsq.CloneInto(rq)
-	}
+	dst.det = c.det.clone(det)
 	dst.fetchQ = append(fq[:0], c.fetchQ...)
 	dst.replayQ = append(rpq[:0], c.replayQ...)
 	// replayScratch contents are dead outside recover(); keep only the

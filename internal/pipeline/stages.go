@@ -9,7 +9,6 @@ import (
 	"reese/internal/isa"
 	"reese/internal/obs"
 	"reese/internal/program"
-	"reese/internal/reese"
 	"reese/internal/ruu"
 )
 
@@ -286,40 +285,6 @@ func (c *CPU) predictAndMaybeStall(fe *fetchEntry) (stop bool) {
 // Dispatch
 // ---------------------------------------------------------------------
 
-// rReserve is the number of RUU slots P-stream dispatch may never take
-// on a REESE machine, guaranteeing the R-stream Queue can always
-// dispatch copies and drain — without it a full RSQ and a P-full RUU
-// would deadlock each other.
-const rReserve = 2
-
-// dispatch fills up to Width slots per cycle. On a REESE machine each
-// slot chooses between the next decoded P-stream instruction and the
-// head of the R-stream Queue (paper §4.3): P normally has priority, but
-// once RSQ occupancy crosses the high-water mark the R stream goes
-// first so the queue drains.
-func (c *CPU) dispatch() int {
-	rFirst := c.rsq != nil && c.rsq.PressureHigh()
-	if rFirst {
-		c.rsq.NotePriorityCycle()
-	}
-	moved := 0
-	for n := 0; n < c.cfg.Width; n++ {
-		if rFirst {
-			if c.dispatchR() || c.dispatchP() {
-				moved++
-				continue
-			}
-			break
-		}
-		if c.dispatchP() || (c.rsq != nil && c.dispatchR()) {
-			moved++
-			continue
-		}
-		break
-	}
-	return moved
-}
-
 // noteDispatchBlock records the first structural reason dispatch
 // stopped this cycle, for the slot-attribution matrix. The first
 // blocker wins: it is what actually ended the dispatch group.
@@ -330,37 +295,41 @@ func (c *CPU) noteDispatchBlock(cause obs.StallCause) {
 }
 
 // dispatchCause resolves where this cycle's unused dispatch slots went:
-// a recorded structural block, otherwise an empty front end (or the
-// post-halt drain).
+// a recorded structural block, otherwise the front end.
 func (c *CPU) dispatchCause() obs.StallCause {
 	if c.dispCause != obs.CauseNone {
 		return c.dispCause
 	}
+	return c.frontEndCause()
+}
+
+// frontEndCause charges an empty machine to the post-halt drain once
+// every instruction source is exhausted, otherwise to an empty front end.
+func (c *CPU) frontEndCause() obs.StallCause {
 	if c.oracleDone && c.fetchLen == 0 && !c.hasPending && c.replayHead >= len(c.replayQ) {
 		return obs.CauseDrain
 	}
 	return obs.CauseFetchEmpty
 }
 
-// windowFree returns the number of unoccupied window slots. P-stream
-// instructions occupy a slot while resident in the RUU; dispatched,
-// unfinished R copies occupy one until their comparison completes (the
-// slot collapses as soon as the re-execution is checked).
-func (c *CPU) windowFree() int {
-	return c.cfg.RUUSize - c.ruu.Len() - c.rLive
-}
+// windowFree returns the number of window slots the RUU leaves free. A
+// detector's copies held outside the RUU (REESE's dispatched,
+// uncompared R copies) occupy window slots too; their owner subtracts
+// them.
+func (c *CPU) windowFree() int { return c.cfg.RUUSize - c.ruu.Len() }
 
 // dispatchP moves one instruction from the fetch queue into the RUU
-// (and LSQ for memory operations), reporting whether it did.
-func (c *CPU) dispatchP() bool {
+// (and LSQ for memory operations), returning its RUU entry, or nil when
+// nothing dispatched. keep window slots must stay free for the
+// detector's copies.
+func (c *CPU) dispatchP(keep int) *ruu.Entry {
 	if c.fetchLen == 0 {
-		return false
+		return nil
 	}
-	free := c.windowFree()
-	if free <= 0 || (c.rsq != nil && free <= rReserve) || c.ruu.Full() {
+	if c.windowFree() <= keep {
 		c.dispatchRUUFull++
 		c.noteDispatchBlock(obs.CauseDispatchRUUFull)
-		return false
+		return nil
 	}
 	fe := *c.fetchQFront()
 	if fe.bogus && !c.wpMarked {
@@ -369,28 +338,12 @@ func (c *CPU) dispatchP() bool {
 		c.wpLsqMark = c.lsq.NextSeq()
 		c.wpMarked = true
 	}
-	// Duplicate-at-dispatch mode needs room for the whole pair before
-	// dispatching either half (bogus wrong-path entries stay single).
-	needDup := c.dupMode && !fe.bogus
-	if needDup {
-		isMem := fe.tr.Inst.Op.IsMem()
-		if c.windowFree() < 2 || c.ruu.Cap()-c.ruu.Len() < 2 {
-			c.dispatchRUUFull++
-			c.noteDispatchBlock(obs.CauseDispatchRUUFull)
-			return false
-		}
-		if isMem && c.lsq.Cap()-c.lsq.Len() < 2 {
-			c.dispatchLSQFull++
-			c.noteDispatchBlock(obs.CauseDispatchLSQFull)
-			return false
-		}
-	}
 	lsqSeq := ruu.NoProducer
 	if fe.tr.Inst.Op.IsMem() {
 		if c.lsq.Full() {
 			c.dispatchLSQFull++
 			c.noteDispatchBlock(obs.CauseDispatchLSQFull)
-			return false
+			return nil
 		}
 		le := c.lsq.Dispatch(fe.tr, c.ruu.NextSeq())
 		lsqSeq = le.MemSeq
@@ -406,60 +359,17 @@ func (c *CPU) dispatchP() bool {
 		c.emitAt(fe.fetchedAt, obs.EvFetch, e.Seq, &e.Trace, 0, -1)
 		c.emit(obs.EvDispatch, e.Seq, &e.Trace, 0, -1)
 	}
-	if needDup {
-		dupLSQ := ruu.NoProducer
-		if fe.tr.Inst.Op.IsMem() {
-			le := c.lsq.Dispatch(fe.tr, c.ruu.NextSeq())
-			dupLSQ = le.MemSeq
-		}
-		c.ruu.DispatchDup(fe.tr, e.Seq, e.Dep1, e.Dep2, dupLSQ)
-	}
-	return true
-}
-
-// dispatchR moves the R-stream Queue's oldest undispatched copy into
-// the execution window, reporting whether it did. R copies carry their
-// operands, so they claim no rename slot and track no dependencies, but
-// they occupy a window slot and a dispatch slot like any other
-// instruction — this sharing is where REESE's overhead comes from.
-func (c *CPU) dispatchR() bool {
-	e := c.rsq.NextToDispatch()
-	if e == nil {
-		return false
-	}
-	if c.windowFree() <= 0 {
-		c.dispatchRUUFull++
-		c.noteDispatchBlock(obs.CauseDispatchRUUFull)
-		return false
-	}
-	c.rLive++
-	c.rsq.MarkDispatched(e)
-	if c.observed() {
-		c.emit(obs.EvDispatchR, e.Seq, &e.Trace, 0, -1)
-	}
-	return true
+	return e
 }
 
 // ---------------------------------------------------------------------
 // Issue
 // ---------------------------------------------------------------------
 
-// issue selects up to IssueWidth ready instructions. P-stream
-// instructions have priority; R-stream copies fill the remaining slots
-// — unless the R-stream Queue has crossed its high-water mark, in which
-// case the priorities invert so the queue drains (paper §4.3).
+// issue selects up to IssueWidth ready instructions, P-stream and the
+// detector's copies in the detector's priority order.
 func (c *CPU) issue() int {
-	budget := c.cfg.IssueWidth
-	if c.rsq != nil && c.rsq.PressureHigh() {
-		c.issueR(&budget)
-		c.issueP(&budget)
-		return c.cfg.IssueWidth - budget
-	}
-	c.issueP(&budget)
-	if c.rsq != nil {
-		c.issueR(&budget)
-	}
-	return c.cfg.IssueWidth - budget
+	return c.cfg.IssueWidth - c.det.issue(c, c.cfg.IssueWidth)
 }
 
 // issueCause resolves where this cycle's unused issue slots went. A
@@ -473,22 +383,17 @@ func (c *CPU) issueCause() obs.StallCause {
 	if c.issueNotReady {
 		return obs.CauseIssueWait
 	}
-	if c.ruu.Len() > 0 || c.rLive > 0 {
+	if c.ruu.Len() > 0 || c.det.held() > 0 {
 		return obs.CauseExecLatency
 	}
-	if c.fetchLen > 0 {
-		return obs.CauseFetchEmpty
-	}
-	if c.oracleDone && !c.hasPending && c.replayHead >= len(c.replayQ) {
-		return obs.CauseDrain
-	}
-	return obs.CauseFetchEmpty
+	return c.frontEndCause()
 }
 
-// issueP issues ready P-stream instructions from the RUU, oldest first.
-func (c *CPU) issueP(budget *int) {
+// issueP issues ready P-stream instructions from the RUU, oldest first,
+// on at most budget slots, and returns the slots left.
+func (c *CPU) issueP(budget int) int {
 	c.ruu.Scan(func(e *ruu.Entry) bool {
-		if *budget <= 0 {
+		if budget <= 0 {
 			return false
 		}
 		if e.Issued {
@@ -499,25 +404,7 @@ func (c *CPU) issueP(budget *int) {
 			return true
 		}
 		op := e.Trace.Inst.Op
-		if e.Bogus && op.IsMem() {
-			// Wrong-path memory operations consume a port but bypass
-			// the data cache (their addresses are placeholders; real
-			// hardware would access speculative state we don't model).
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			e.FUKind, e.FUUnit = uint8(fu.MemPort), unit
-			if e.LSQSeq != ruu.NoProducer && c.lsq.Resident(e.LSQSeq) {
-				c.lsq.Get(e.LSQSeq).Issued = true
-			}
-			c.markIssued(e, c.cycle+uint64(c.cfg.Memory.L1D.HitLatency))
-			*budget--
-			return true
-		}
-		switch {
-		case op.IsLoad():
+		if op.IsLoad() && !e.Bogus {
 			switch c.lsq.CheckLoad(e.LSQSeq) {
 			case ruu.LoadBlocked:
 				// Waiting for earlier store addresses: a readiness wait,
@@ -533,49 +420,53 @@ func (c *CPU) issueP(budget *int) {
 				le.Forwarded = true
 				e.FUKind, e.FUUnit = uint8(fu.MemPort), -1
 				c.markIssued(e, c.cycle+1)
-				*budget--
-			case ruu.LoadFromCache:
-				unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-				if !ok {
-					c.issueNoFU = true
-					return true
-				}
-				e.FUKind, e.FUUnit = uint8(fu.MemPort), unit
-				lat := c.hier.DataLatency(e.Trace.Addr, false)
-				c.lsq.Get(e.LSQSeq).Issued = true
-				c.markIssued(e, c.cycle+uint64(lat))
-				*budget--
-			}
-		case op.IsStore():
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
+				budget--
 				return true
 			}
-			e.FUKind, e.FUUnit = uint8(fu.MemPort), unit
-			// The architectural cache write happens once, on the
-			// verified side: at issue on a plain baseline, on the
-			// duplicate copy in dup-dispatch mode, and at R-stream
-			// issue under REESE.
-			if (c.rsq == nil && !c.dupMode) || (c.dupMode && e.Dup) {
+		}
+		kind, unit, ok := c.acquireFU(op)
+		if !ok {
+			return true
+		}
+		e.FUKind, e.FUUnit = uint8(kind), unit
+		var doneAt uint64
+		switch {
+		case e.Bogus && op.IsMem():
+			// Wrong-path memory operations consume a port but bypass
+			// the data cache (their addresses are placeholders; real
+			// hardware would access speculative state we don't model).
+			if e.LSQSeq != ruu.NoProducer && c.lsq.Resident(e.LSQSeq) {
+				c.lsq.Get(e.LSQSeq).Issued = true
+			}
+			doneAt = c.cycle + uint64(c.cfg.Memory.L1D.HitLatency)
+		case op.IsLoad():
+			doneAt = c.cycle + uint64(c.hier.DataLatency(e.Trace.Addr, false))
+			c.lsq.Get(e.LSQSeq).Issued = true
+		case op.IsStore():
+			if c.det.writesCache(e) {
 				c.hier.DataLatency(e.Trace.Addr, true)
 			}
 			c.lsq.Get(e.LSQSeq).Issued = true
-			c.markIssued(e, c.cycle+1)
-			*budget--
+			doneAt = c.cycle + 1
 		default:
-			kind := fu.KindFor(op.Class())
-			unit, ok := c.pool.AcquireUnit(kind, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			e.FUKind, e.FUUnit = uint8(kind), unit
-			c.markIssued(e, c.cycle+uint64(op.OpLatency()))
-			*budget--
+			doneAt = c.cycle + uint64(op.OpLatency())
 		}
+		c.markIssued(e, doneAt)
+		budget--
 		return true
 	})
+	return budget
+}
+
+// acquireFU claims a functional unit of op's class for this cycle,
+// recording an FU shortage for stall attribution when none is free.
+func (c *CPU) acquireFU(op isa.Op) (fu.Kind, int, bool) {
+	kind := fu.KindFor(op.Class())
+	unit, ok := c.pool.AcquireUnit(kind, c.cycle, op.IssueLatency())
+	if !ok {
+		c.issueNoFU = true
+	}
+	return kind, unit, ok
 }
 
 func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
@@ -587,70 +478,6 @@ func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
 	}
 }
 
-// issueR issues dispatched R-stream copies. They carry their operands,
-// so readiness is never in question — only functional-unit
-// availability. Copies blocked on a busy unit class are skipped; they
-// hold their window slot until they get one, which is exactly how FU
-// shortage turns into window pressure on the P stream (and why spare
-// elements recover performance).
-func (c *CPU) issueR(budget *int) {
-	c.rsq.Scan(func(e *reese.Entry) bool {
-		if *budget <= 0 {
-			return false
-		}
-		if !e.Dispatched || e.Issued {
-			return true
-		}
-		op := e.Trace.Inst.Op
-		var doneAt uint64
-		rKind := fu.MemPort
-		rUnit := -1
-		switch {
-		case op.IsLoad():
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			rUnit = unit
-			// The R-stream load re-reads the D-cache; the P stream
-			// brought the line in, so this almost always hits (§4.4).
-			lat := c.hier.DataLatency(e.Trace.Addr, false)
-			doneAt = c.cycle + uint64(lat)
-		case op.IsStore():
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			rUnit = unit
-			// This is the architectural cache write, performed only on
-			// the verified path (the store buffer drains here).
-			c.hier.DataLatency(e.Trace.Addr, true)
-			doneAt = c.cycle + 1
-		default:
-			kind := fu.KindFor(op.Class())
-			unit, ok := c.pool.AcquireUnit(kind, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			rKind, rUnit = kind, unit
-			doneAt = c.cycle + uint64(op.OpLatency())
-		}
-		e.RKind, e.RUnit = uint8(rKind), rUnit
-		if c.stuck != nil && c.stuck.Hits(uint8(rKind), rUnit) {
-			e.RFaultMask = c.stuck.Mask()
-		}
-		c.rsq.MarkIssued(e, c.cycle, doneAt)
-		if c.observed() {
-			c.emit(obs.EvIssueR, e.Seq, &e.Trace, uint8(rKind)+1, int16(rUnit))
-		}
-		*budget--
-		return true
-	})
-}
-
 // ---------------------------------------------------------------------
 // Writeback
 // ---------------------------------------------------------------------
@@ -658,7 +485,7 @@ func (c *CPU) issueR(budget *int) {
 // writeback completes executions whose latency has elapsed: P-stream
 // completions resolve branches (unblocking fetch on mispredictions) and
 // latch results — the point where the fault injector may corrupt them.
-// R-stream completions run the comparator.
+// The detector's comparator then checks its completed copies.
 func (c *CPU) writeback() {
 	c.ruu.Scan(func(e *ruu.Entry) bool {
 		if !e.Issued || e.Completed || e.DoneAt > c.cycle {
@@ -702,33 +529,7 @@ func (c *CPU) writeback() {
 		return true
 	})
 
-	if c.rsq == nil {
-		return
-	}
-	// The comparator sits between writeback and commit: completed
-	// re-executions check against the latched P-stream outcome and
-	// release their window slot.
-	var bad *reese.Entry
-	c.rsq.Scan(func(e *reese.Entry) bool {
-		if !e.Issued || e.Done || e.DoneAt > c.cycle {
-			return true
-		}
-		c.rLive--
-		if !c.rsq.Compare(e) {
-			bad = e
-			if c.observed() {
-				c.emit(obs.EvMismatch, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
-			}
-			return false // recovery flushes everything anyway
-		}
-		if c.observed() {
-			c.emit(obs.EvVerify, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
-		}
-		return true
-	})
-	if bad != nil {
-		c.onMismatch(bad)
-	}
+	c.det.verify(c)
 }
 
 // resolveControl trains the predictors with the true outcome and, for
@@ -761,7 +562,7 @@ func (c *CPU) resolveControl(e *ruu.Entry) {
 // the cost the stall model approximates with a flat penalty.
 func (c *CPU) squashWrongPath(branch *ruu.Entry) {
 	cut := branch.Seq
-	if c.dupMode {
+	if c.ruu.Resident(cut+1) && c.ruu.Get(cut+1).Dup {
 		// The branch's duplicate (dispatched atomically with it, before
 		// any wrong-path entry) must survive the squash.
 		cut++
@@ -793,55 +594,84 @@ func (c *CPU) squashWrongPath(branch *ruu.Entry) {
 // ---------------------------------------------------------------------
 
 // commit retires instructions in program order, returning how many
-// commit slots did work this cycle. Baseline machines retire directly
-// from the RUU head. REESE machines retire verified instructions from
-// the R-stream Queue head and refill the queue from the RUU head (this
-// is the only place a full RSQ back-pressures the P stream). When
-// slots go unused, the blocking cause is resolved from the machine
-// state the moment commit gave up — before writeback and issue mutate
-// it — and charged in chargeStalls at the end of the cycle.
+// commit slots did work this cycle. One loop serves every scheme: the
+// detector hands over the oldest instruction allowed to retire (from
+// the RUU head, a verified R-stream Queue head, or a matching
+// duplicate pair) until the slots run out, then moves completed
+// instructions into its verification queue. When slots go unused, the
+// blocking cause is resolved from the machine state the moment commit
+// gave up — before writeback and issue mutate it — and charged in
+// chargeStalls at the end of the cycle.
 func (c *CPU) commit() int {
-	var used int
-	switch {
-	case c.dupMode:
-		used = c.commitDup()
-	case c.rsq == nil:
-		used = c.commitBaseline()
-	default:
-		used = c.commitReese()
+	used := 0
+	for used < c.cfg.Width {
+		r, ok := c.det.nextRetire(c, c.cfg.Width-used)
+		if !ok {
+			break
+		}
+		used += r.slots
+		if c.observed() {
+			c.emit(obs.EvCommit, r.seq, r.tr, 0, -1)
+		}
+		c.retire(r.tr, r.faulty, r.result, r.addr, r.store)
+		if c.done {
+			break
+		}
 	}
+	if !c.done {
+		c.det.enter(c)
+	}
+	c.commitBlock = obs.CauseNone
 	if used < c.cfg.Width {
 		c.commitBlock = c.commitCause()
-	} else {
-		c.commitBlock = obs.CauseNone
 	}
 	return used
 }
 
+// completedHead returns the RUU head when its execution has completed
+// by this cycle — the only instruction that may leave the window — or
+// nil.
+func (c *CPU) completedHead() *ruu.Entry {
+	if h := c.ruu.Head(); h != nil && h.Completed && h.DoneAt <= c.cycle {
+		return h
+	}
+	return nil
+}
+
+// popRUU removes the completed RUU head h, with its LSQ entry. A
+// wrong-path instruction can never leave the window: its mispredicted
+// branch resolves (and squashes it) strictly before.
+func (c *CPU) popRUU(h *ruu.Entry) {
+	if h.Bogus {
+		panic(fmt.Sprintf("pipeline: bogus instruction reached commit: seq=%d pc=%#x %s", h.Seq, h.Trace.PC, h.Trace.Inst))
+	}
+	c.ruu.RemoveHead()
+	if h.LSQSeq != ruu.NoProducer {
+		c.lsq.RemoveHead()
+	}
+}
+
+// retireRUU hands the popped RUU instruction h, taking n commit slots,
+// to the retire loop.
+func retireRUU(h *ruu.Entry, n int, faulty bool) retiring {
+	return retiring{seq: h.Seq, tr: &h.Trace, faulty: faulty,
+		result: h.ResultP, addr: h.AddrP, store: h.StoreValueP, slots: n}
+}
+
 // commitCause inspects the oldest blocked instruction and names the one
 // thing stopping commit — top-down accounting in the style of the
-// paper's utilization figures. Precedence runs back-to-front: an
-// unverified RSQ head outranks anything upstream; an empty machine
+// paper's utilization figures. Precedence runs back-to-front: the
+// detector's own queue outranks anything upstream; an empty machine
 // blames the front end (or the post-halt drain).
 func (c *CPU) commitCause() obs.StallCause {
 	if c.done || c.permError {
 		return obs.CauseDrain
 	}
-	if c.rsq != nil && !c.rsq.Empty() {
-		// The RSQ head has not been verified yet. When the queue is also
-		// full it is crammed faster than the R stream can drain it — the
-		// paper's overflow condition (§4.3) — which is the actionable
-		// signal, so it takes the charge.
-		if c.rsq.Full() {
-			return obs.CauseRSQFull
-		}
-		return obs.CauseRecheckPending
+	if cause := c.det.commitStall(c); cause != obs.CauseNone {
+		return cause
 	}
 	if c.ruu.Empty() {
-		if c.fetchLen == 0 && c.oracleDone && !c.hasPending && c.replayHead >= len(c.replayQ) {
-			return obs.CauseDrain
-		}
-		return obs.CauseFetchEmpty
+		return c.frontEndCause()
 	}
 	h := c.ruu.Head()
 	if !h.Issued {
@@ -852,208 +682,20 @@ func (c *CPU) commitCause() obs.StallCause {
 		}
 		return obs.CauseIssueWait
 	}
-	if !h.Completed || h.DoneAt > c.cycle {
-		return obs.CauseExecLatency
-	}
-	// Head latched its result but could not move on. In dup mode it
-	// waits for its duplicate; under REESE a latched head failing to
-	// enter the queue means the refill loop hit a full RSQ.
-	if c.rsq != nil {
-		return obs.CauseRSQFull
-	}
+	// Still executing — or, in dup mode, latched and waiting for its
+	// duplicate.
 	return obs.CauseExecLatency
 }
 
-func (c *CPU) commitReese() int {
-	// Retire verified instructions from the RSQ head. Their LSQ entries
-	// were already released when they entered the RSQ: the queue entry
-	// carries the operands and result, and unverified stores forward to
-	// younger loads from there (the paper's extra forwarding hardware,
-	// §4.3).
-	used := 0
-	for n := 0; n < c.cfg.Width && !c.rsq.Empty(); n++ {
-		h := c.rsq.Head()
-		if !h.Verified {
-			break
-		}
-		e := c.rsq.RetireHead()
-		used++
-		if c.observed() {
-			c.emit(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
-		}
-		c.retire(e.Trace, false, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
-		if c.done {
-			return used
-		}
-	}
-
-	// Move completed instructions from the RUU head into the RSQ.
-	for n := 0; n < c.cfg.Width && !c.ruu.Empty(); n++ {
-		h := c.ruu.Head()
-		if !h.Completed || h.DoneAt > c.cycle {
-			break
-		}
-		if c.rsq.Full() {
-			c.rsq.NoteFullStall()
-			break
-		}
-		e := c.ruu.RemoveHead()
-		if e.Bogus {
-			panic(fmt.Sprintf("pipeline: bogus instruction reached the R-stream Queue: seq=%d pc=%#x %s", e.Seq, e.Trace.PC, e.Trace.Inst))
-		}
-		if e.LSQSeq != ruu.NoProducer {
-			c.lsq.RemoveHead()
-		}
-		if c.observed() {
-			c.emit(obs.EvEnterRSQ, e.Seq, &e.Trace, 0, -1)
-		}
-		ent := reese.Entry{
-			Seq:         e.Seq,
-			Trace:       e.Trace,
-			ResultP:     e.ResultP,
-			NextPCP:     e.NextPCP,
-			AddrP:       e.AddrP,
-			StoreValueP: e.StoreValueP,
-			FaultBit:    e.FaultBit,
-			FaultCycle:  e.FaultCycle,
-			LSQSeq:      e.LSQSeq,
-		}
-		if e.Seq >= c.hookHorizon {
-			c.hookHorizon = e.Seq + 1
-		}
-		if c.injector != nil {
-			if cor, ok := c.injector.RSQEnqueue(e.Seq, e.Trace); ok {
-				// A transient in the RSQ itself: the stored copies are
-				// corrupted while e.Trace (what recovery replays) stays
-				// clean, so a detected RSQ fault recovers cleanly.
-				ent.ResultP ^= cor.ResultMask
-				ent.NextPCP ^= cor.NextPCMask
-				ent.AddrP ^= cor.AddrMask
-				ent.StoreValueP ^= cor.StoreMask
-				ent.OperandAMask = cor.OperandAMask
-				ent.OperandBMask = cor.OperandBMask
-				ent.CompIgnore = cor.CompIgnoreMask
-				ent.FaultBit = cor.Bit % 32
-				ent.FaultCycle = c.cycle
-				c.faultFired(e.Seq, &e.Trace)
-			}
-		}
-		c.rsq.Enqueue(ent, c.cycle)
-	}
-	return used
-}
-
-func (c *CPU) commitBaseline() int {
-	used := 0
-	for n := 0; n < c.cfg.Width && !c.ruu.Empty(); n++ {
-		h := c.ruu.Head()
-		if !h.Completed || h.DoneAt > c.cycle {
-			break
-		}
-		e := c.ruu.RemoveHead()
-		if e.Bogus {
-			// A wrong-path instruction can never reach commit: its
-			// mispredicted branch resolves (and squashes it) strictly
-			// before leaving the window.
-			panic(fmt.Sprintf("pipeline: bogus instruction reached commit: seq=%d pc=%#x %s", e.Seq, e.Trace.PC, e.Trace.Inst))
-		}
-		used++
-		if c.observed() {
-			c.emit(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
-		}
-		c.retire(e.Trace, e.LSQSeq != ruu.NoProducer, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
-		if c.done {
-			break
-		}
-	}
-	return used
-}
-
-// commitDup retires (original, duplicate) pairs in order, comparing the
-// two executions' latched outcomes — the Franklin [24] scheme the paper
-// positions REESE against. Both halves consume commit bandwidth.
-func (c *CPU) commitDup() int {
-	used := 0
-	for n := 0; n+1 < c.cfg.Width && c.ruu.Len() >= 2; n += 2 {
-		h := c.ruu.Head()
-		if !h.Completed || h.DoneAt > c.cycle {
-			return used
-		}
-		if h.Bogus {
-			// Should be unreachable (squash precedes commit), but a
-			// single bogus entry has no pair; guard explicitly.
-			panic("pipeline: bogus instruction reached dup commit")
-		}
-		d := c.ruu.Get(h.Seq + 1)
-		if !d.Dup || d.PairSeq != h.Seq {
-			panic(fmt.Sprintf("pipeline: dup pairing broken at seq %d", h.Seq))
-		}
-		if !d.Completed || d.DoneAt > c.cycle {
-			return used
-		}
-		match := h.ResultP == d.ResultP && h.NextPCP == d.NextPCP &&
-			h.AddrP == d.AddrP && h.StoreValueP == d.StoreValueP
-		if !match {
-			c.onMismatchDup(h, d)
-			return used
-		}
-		// A fault that corrupted BOTH copies identically (a common-mode
-		// or permanent fault hitting the same computation twice) passes
-		// the comparator: that is pure duplication's blind spot, and it
-		// retires as silent corruption. REESE's recomputation-based
-		// comparator does not share it.
-		commonMode := h.HasFault() || d.HasFault()
-		e := c.ruu.RemoveHead()
-		c.ruu.RemoveHead()
-		if e.LSQSeq != ruu.NoProducer {
-			c.lsq.RemoveHead()
-			c.lsq.RemoveHead() // the duplicate's entry is adjacent
-		}
-		used += 2 // both halves of the pair consume commit bandwidth
-		if c.observed() {
-			c.emit(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
-		}
-		c.retire(e.Trace, false, commonMode, e.ResultP, e.AddrP, e.StoreValueP)
-		if c.done {
-			return used
-		}
-	}
-	return used
-}
-
-// onMismatchDup handles a failed pair comparison: account the
-// detection, then flush and replay, mirroring the RSQ path.
-func (c *CPU) onMismatchDup(orig, dup *ruu.Entry) {
-	c.detected++
-	if c.observed() {
-		c.emit(obs.EvMismatch, orig.Seq, &orig.Trace, 0, -1)
-	}
-	switch {
-	case orig.HasFault():
-		c.detectLat.Add(c.cycle - orig.FaultCycle)
-	case dup.HasFault():
-		c.detectLat.Add(c.cycle - dup.FaultCycle)
-	}
-	if c.lastBadLive && orig.Trace.PC == c.lastBadPC {
-		c.permError = true
-		return
-	}
-	c.lastBadPC = orig.Trace.PC
-	c.lastBadLive = true
-	c.recover(orig.Seq)
-}
-
-// retire performs the architectural retirement bookkeeping shared by
-// both machines.
 // retire commits one instruction architecturally. resultP, addrP and
 // storeValueP are the latched values that actually commit (possibly
 // corrupted by an undetected fault); they feed the shadow register file
 // and store hash behind CommitDigest.
-func (c *CPU) retire(tr emu.Trace, isMem, hadFault bool, resultP, addrP, storeValueP uint32) {
+func (c *CPU) retire(tr *emu.Trace, hadFault bool, resultP, addrP, storeValueP uint32) {
 	if c.inst.CommitWatch != nil {
 		// The commit index before increment is the instruction's global
 		// program-order position — the lockstep alignment key.
-		c.inst.CommitWatch(c, c.committed, c.cycle, tr, resultP, addrP, storeValueP)
+		c.inst.CommitWatch(c, c.committed, c.cycle, *tr, resultP, addrP, storeValueP)
 	}
 	c.committed++
 	if r, fp, ok := tr.DestReg(); ok {
@@ -1082,9 +724,6 @@ func (c *CPU) retire(tr emu.Trace, isMem, hadFault bool, resultP, addrP, storeVa
 	default:
 		c.classCommits[0]++
 	}
-	if isMem {
-		c.lsq.RemoveHead()
-	}
 	if !hadFault && c.lastBadLive && tr.PC == c.lastBadPC {
 		// The previously faulting instruction retired cleanly: the
 		// transient is gone. (A corrupted instruction retiring without
@@ -1101,27 +740,33 @@ func (c *CPU) retire(tr emu.Trace, isMem, hadFault bool, resultP, addrP, storeVa
 // Fault recovery
 // ---------------------------------------------------------------------
 
-// onMismatch handles a comparator hit: account for the detection, then
-// flush the pipeline and replay from the faulting instruction (§4.3). A
-// second consecutive mismatch at the same PC is treated as a permanent
-// error and stops the machine.
-func (c *CPU) onMismatch(bad *reese.Entry) {
-	c.detected++
-	if bad.HasFault() {
-		c.detectLat.Add(c.cycle - bad.FaultCycle)
+// onMismatch handles a comparator hit on the instruction at seq: stream
+// the MISMATCH event (fuKind/unit name the checking unit, 0/-1 for
+// none), account the detection — faultCycle dates it when faulty says
+// an injected fault is the cause — then flush the pipeline and replay
+// from the faulting instruction (§4.3). A second consecutive mismatch
+// at the same PC is treated as a permanent error and stops the machine.
+func (c *CPU) onMismatch(seq uint64, tr *emu.Trace, fuKind uint8, unit int16, faulty bool, faultCycle uint64) {
+	if c.observed() {
+		c.emit(obs.EvMismatch, seq, tr, fuKind, unit)
 	}
-	if c.lastBadLive && bad.Trace.PC == c.lastBadPC {
+	c.detected++
+	if faulty {
+		c.detectLat.Add(c.cycle - faultCycle)
+	}
+	if c.lastBadLive && tr.PC == c.lastBadPC {
 		c.permError = true
 		return
 	}
-	c.lastBadPC = bad.Trace.PC
+	c.lastBadPC = tr.PC
 	c.lastBadLive = true
-	c.recover(bad.Seq)
+	c.recover(seq)
 }
 
 // recover force-retires everything older than faultSeq, then flushes all
 // in-flight state and queues the flushed instructions (from faultSeq on)
-// for re-fetch.
+// for re-fetch; the detector contributes its own queue first, as the
+// oldest in-flight work.
 func (c *CPU) recover(faultSeq uint64) {
 	c.recoveries++
 	if c.observed() {
@@ -1131,20 +776,7 @@ func (c *CPU) recover(faultSeq uint64) {
 	// Rebuild the replay queue into the spare buffer, then swap the two
 	// so the next recovery reuses this one's backing array: after the
 	// first couple of recoveries the rebuild allocates nothing.
-	replay := c.replayScratch[:0]
-	if c.rsq != nil {
-		c.rsq.Scan(func(e *reese.Entry) bool {
-			if e.Seq >= faultSeq {
-				replay = append(replay, e.Trace)
-			} else {
-				// Older than the fault: already executed; it retires
-				// with the flush (its verification outcome is what it
-				// is).
-				c.retire(e.Trace, false, false, e.ResultP, e.AddrP, e.StoreValueP)
-			}
-			return true
-		})
-	}
+	replay := c.det.recover(c, faultSeq, c.replayScratch[:0])
 	c.ruu.Scan(func(e *ruu.Entry) bool {
 		if !e.Bogus && !e.Dup {
 			replay = append(replay, e.Trace)
@@ -1163,13 +795,9 @@ func (c *CPU) recover(faultSeq uint64) {
 	c.replayScratch = c.replayQ[:0]
 	c.replayQ = replay
 	c.replayHead = 0
-	if c.rsq != nil {
-		c.rsq.Flush()
-	}
 	c.ruu.Flush()
 	c.lsq.Flush()
 	c.fetchQClear()
-	c.rLive = 0
 	c.pool.Reset()
 	c.fetchStalled = false
 	c.wrongPath = false

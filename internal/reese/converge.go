@@ -75,4 +75,5 @@ func (q *Queue) ExtrapolateStats(prev Stats, n uint64) {
 	q.stats.Skipped += (q.stats.Skipped - prev.Skipped) * n
 	q.stats.FullStalls += (q.stats.FullStalls - prev.FullStalls) * n
 	q.stats.PriorityCycles += (q.stats.PriorityCycles - prev.PriorityCycles) * n
+	q.stats.OccupancySum += (q.stats.OccupancySum - prev.OccupancySum) * n
 }

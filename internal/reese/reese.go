@@ -112,6 +112,13 @@ type Stats struct {
 	// PriorityCycles counts cycles the high-water mark gave R-stream
 	// instructions scheduling priority.
 	PriorityCycles uint64
+	// OccupancySum and OccupancyMax sample the queue's fill level once
+	// per cycle (SampleOccupancy) — the machine's P-to-R-stream
+	// separation in instructions, the paper's Δt (§2). The pipeline's
+	// Result reports them as RSQOccupancyMean/Max, so they stay out of
+	// the Stats encoding.
+	OccupancySum uint64 `json:"-"`
+	OccupancyMax uint64 `json:"-"`
 }
 
 // Queue is the R-stream Queue: a FIFO whose entries issue (possibly out
@@ -122,6 +129,10 @@ type Queue struct {
 	size    uint64
 	headSeq uint64 // oldest resident (rsq-order sequence)
 	nextSeq uint64 // next rsq-order sequence to allocate
+
+	// inFlight counts dispatched R copies whose comparison has not
+	// completed (each holds a pipeline window slot).
+	inFlight int
 
 	highWater int
 	every     int // re-execute 1 in every N instructions (1 = all)
@@ -195,6 +206,14 @@ func (q *Queue) PressureHigh() bool { return q.Len() >= q.highWater }
 // in force (called once per such cycle by the pipeline).
 func (q *Queue) NotePriorityCycle() { q.stats.PriorityCycles++ }
 
+// SampleOccupancy adds the current fill level to the occupancy
+// statistics (called once per cycle by the pipeline).
+func (q *Queue) SampleOccupancy() {
+	occ := uint64(q.Len())
+	q.stats.OccupancySum += occ
+	q.stats.OccupancyMax = max(q.stats.OccupancyMax, occ)
+}
+
 // NoteFullStall records a cycle in which the RUU head was blocked by a
 // full RSQ.
 func (q *Queue) NoteFullStall() { q.stats.FullStalls++ }
@@ -239,8 +258,13 @@ func (q *Queue) NextToDispatch() *Entry {
 // MarkDispatched records that e's R copy entered the pipeline.
 func (q *Queue) MarkDispatched(e *Entry) {
 	e.Dispatched = true
+	q.inFlight++
 	q.stats.Reexecuted++
 }
+
+// InFlight returns the number of dispatched R copies whose comparison
+// has not completed.
+func (q *Queue) InFlight() int { return q.inFlight }
 
 // MarkIssued records that e's re-execution started at cycle now and
 // will finish at done.
@@ -295,7 +319,10 @@ func (q *Queue) RetireHead() Entry {
 }
 
 // Flush empties the queue (fault recovery clears the RSQ, §4.3).
-func (q *Queue) Flush() { q.headSeq = q.nextSeq }
+func (q *Queue) Flush() {
+	q.headSeq = q.nextSeq
+	q.inFlight = 0
+}
 
 // Stats returns a copy of the counters.
 func (q *Queue) Stats() Stats { return q.stats }
@@ -361,6 +388,7 @@ func (q *Queue) Compare(e *Entry) bool {
 		ok = eq(e.ResultP, isa.EvalALU(op, a, b, tr.Inst.Imm)^rMask)
 	}
 	e.Done = true
+	q.inFlight--
 	if ok {
 		e.Verified = true
 		q.stats.Verified++

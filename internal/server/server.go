@@ -782,18 +782,12 @@ func runFaults(ctx context.Context, req FaultsRequest, parallel int, progress *a
 				TriageDetected:     req.TriageDetected,
 				TriageObserver:     triaged,
 			}
-			rsq := cfg.Reese.Enabled && cfg.Reese.Mode != config.ModeDupDispatch
-			for _, name := range req.Structures {
-				st, ok := fault.ParseStruct(name)
-				if !ok || (st.NeedsRSQ() && !rsq) {
-					continue
+			if len(req.Structures) > 0 {
+				structs := make([]fault.Struct, len(req.Structures))
+				for i, name := range req.Structures {
+					structs[i], _ = fault.ParseStruct(name) // validated at decode
 				}
-				spec.Structures = append(spec.Structures, st)
-			}
-			if len(req.Structures) > 0 && len(spec.Structures) == 0 {
-				// Only RSQ structures were requested; keep the baseline half
-				// non-empty so the comparison still renders.
-				spec.Structures = []fault.Struct{fault.StructResult}
+				spec.Structures = harness.UsableStructures(structs, cfg)
 			}
 			rep, err := harness.Campaign(spec, opt)
 			if err != nil {
