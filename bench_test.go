@@ -228,26 +228,51 @@ func BenchmarkSimThroughput(b *testing.B) {
 	}
 }
 
+// Campaign benchmark traffic, matching perfbench's faults-splice and
+// faults-memory workloads (perfbench/workloads.json): gcc grown to
+// 50k committed instructions, sampling either the pipeline structures
+// (trials mostly splice back onto the golden run, so fork and
+// convergence checks dominate) or the memory hierarchy, regfile and
+// fetch PC (trials mostly run to the end, so the cycle loop dominates).
+var (
+	campaignPipelineStructs = []fault.Struct{
+		fault.StructResult, fault.StructLSQAddr, fault.StructLSQStoreData,
+		fault.StructRSQOperand, fault.StructRSQResult, fault.StructComparator,
+	}
+	campaignMemoryStructs = []fault.Struct{
+		fault.StructMemWord, fault.StructL1DTag, fault.StructL1DDirty, fault.StructL1DData,
+		fault.StructL1ITag, fault.StructL2Line, fault.StructITLB, fault.StructDTLB,
+		fault.StructRegFile, fault.StructFetchPC,
+	}
+)
+
 // BenchmarkCampaignThroughput is the second tracked benchmark:
 // fault-injection trials per wall-clock second through the
 // checkpoint/fork replay engine (golden run memoized, so the steady
 // state measured here is pure per-trial cost — fork, suffix simulation,
-// splice). `make bench` appends it to BENCH_pipeline.json next to
-// BenchmarkSimThroughput.
+// splice). Each sub-benchmark names its machine and structure mix; a
+// new workload gets a new name. `make bench` appends it to
+// BENCH_pipeline.json next to BenchmarkSimThroughput.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	for _, bm := range []struct {
-		name string
-		cfg  config.Machine
+		name    string
+		cfg     config.Machine
+		structs []fault.Struct
 	}{
-		{"baseline", config.Starting()},
-		{"reese", config.Starting().WithReese()},
+		{"reese-pipeline", config.Starting().WithReese(), campaignPipelineStructs},
+		{"reese-memory", config.Starting().WithReese(), campaignMemoryStructs},
+		// The baseline machine has no R-stream Queue, so its pipeline mix
+		// keeps the three structures outside it.
+		{"baseline-pipeline", config.Starting(), harness.UsableStructures(campaignPipelineStructs, config.Starting())},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			spec := harness.CampaignSpec{
-				Workload:   "gcc",
-				Machine:    bm.cfg,
-				Injections: 200,
-				Seed:       7,
+				Workload:    "gcc",
+				Machine:     bm.cfg,
+				Structures:  bm.structs,
+				Injections:  200,
+				Seed:        7,
+				TargetInsts: 50_000,
 			}
 			// Warm the golden-run memo so iteration 0 doesn't pay (or
 			// allocate) the instrumented golden simulation.

@@ -14,9 +14,12 @@
 // directory, builds the tracked benchmarks there and in the working
 // tree, and runs the two binaries interleaved 7 times on this host.
 // It exits 1 if the median head/base ratio of sim-insts/s or
-// injections/s dropped more than -max-regress percent, or if the head's
+// injections/s dropped more than -max-regress percent, if the head's
 // allocs/op grew past the newest tracked entry (allocations do not
-// depend on the host, so they compare with the record). Nothing is
+// depend on the host, so they compare with the record), or if a head
+// benchmark has no tracked entry at all (a renamed or new benchmark is
+// recorded in the change that introduces it). A benchmark the base
+// lacks skips only the throughput comparison. Nothing is
 // appended in this mode — it is what `make bench-smoke` and CI run on
 // every change. Throughput is never compared with a number recorded on
 // another host.
@@ -201,40 +204,57 @@ func runCheck(out, ref string, maxRegress float64) error {
 		}
 	}
 
+	checked, failures := gate(runs, recorded, ref, out, maxRegress)
+	if checked == 0 {
+		return fmt.Errorf("no tracked benchmark ran on both %s and the working tree", ref)
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("performance gate failed:\n  %s", strings.Join(failures, "\n  "))
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within budget against %s (max regress %.1f%%)\n", checked, ref, maxRegress)
+	return nil
+}
+
+// gate compares the head runs (runs[1]) with the base runs (runs[0])
+// and the recorded entries, returning how many benchmarks were compared
+// on throughput and every failure. A benchmark the base lacks skips the
+// throughput comparison only: its allocs/op must still be recorded and
+// within budget.
+func gate(runs [2]map[string][]Entry, recorded map[string]Entry, ref, out string, maxRegress float64) (checked int, failures []string) {
 	var names []string
 	for name := range runs[1] {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	checked := 0
-	var failures []string
 	for _, name := range names {
 		head, base := runs[1][name], runs[0][name]
 		if len(base) != len(head) {
-			fmt.Fprintf(os.Stderr, "benchjson: %s did not run at %s; skipping\n", name, ref)
-			continue
-		}
-		checked++
-		for _, unit := range []string{"sim-insts/s", "injections/s"} {
-			var ratios []float64
-			for i := range head {
-				if b := base[i].Metrics[unit]; b > 0 {
-					ratios = append(ratios, head[i].Metrics[unit]/b)
+			fmt.Fprintf(os.Stderr, "benchjson: %s did not run at %s; skipping the throughput comparison\n", name, ref)
+		} else {
+			checked++
+			for _, unit := range []string{"sim-insts/s", "injections/s"} {
+				var ratios []float64
+				for i := range head {
+					if b := base[i].Metrics[unit]; b > 0 {
+						ratios = append(ratios, head[i].Metrics[unit]/b)
+					}
 				}
-			}
-			if len(ratios) == 0 {
-				continue
-			}
-			m := median(ratios)
-			fmt.Fprintf(os.Stderr, "benchjson: %s %s median head/base %.3f (rounds %.3f)\n", name, unit, m, ratios)
-			if drop := 100 * (1 - m); drop > maxRegress {
-				failures = append(failures, fmt.Sprintf("%s: %s regressed %.1f%% against %s on this host (median of %d rounds, budget %.1f%%)",
-					name, unit, drop, ref, len(ratios), maxRegress))
+				if len(ratios) == 0 {
+					continue
+				}
+				m := median(ratios)
+				fmt.Fprintf(os.Stderr, "benchjson: %s %s median head/base %.3f (rounds %.3f)\n", name, unit, m, ratios)
+				if drop := 100 * (1 - m); drop > maxRegress {
+					failures = append(failures, fmt.Sprintf("%s: %s regressed %.1f%% against %s on this host (median of %d rounds, budget %.1f%%)",
+						name, unit, drop, ref, len(ratios), maxRegress))
+				}
 			}
 		}
 		rec, ok := recorded[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: %s has no recorded allocs/op in %s; skipping\n", name, out)
+			// A renamed or new benchmark is recorded (make bench) in the
+			// change that introduces it, or nothing would gate it.
+			failures = append(failures, fmt.Sprintf("%s: no recorded entry in %s; record it with `make bench`", name, out))
 			continue
 		}
 		allocs := make([]float64, len(head))
@@ -251,14 +271,7 @@ func runCheck(out, ref string, maxRegress float64) error {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op grew %.0f -> %.0f (budget %.0f%%)", name, ra, na, budget))
 		}
 	}
-	if checked == 0 {
-		return fmt.Errorf("no tracked benchmark ran on both %s and the working tree", ref)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("performance gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within budget against %s (max regress %.1f%%)\n", checked, ref, maxRegress)
-	return nil
+	return checked, failures
 }
 
 func median(v []float64) float64 {

@@ -22,7 +22,14 @@ import (
 // the golden from-scratch run finished in — same cycle count, same
 // commit and oracle digests, same stall attribution.
 func TestForkFromCheckpointMatchesScratchRun(t *testing.T) {
-	for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
+	// The RUU 24 / LSQ 12 / RSQ 20 machines have no power-of-two
+	// capacity: their rings round up, and a fork must still replay the
+	// golden run exactly.
+	odd := config.Starting().WithRUU(24).WithRSQ(20)
+	for _, cfg := range []config.Machine{
+		config.Starting().WithReese(), config.Starting(),
+		odd, odd.WithReese(), odd.WithDupDispatch(),
+	} {
 		spec, _ := CampaignSpec{
 			Workload: "li",
 			Machine:  cfg,

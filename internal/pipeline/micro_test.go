@@ -284,16 +284,30 @@ func TestFastForwardAfterStartFails(t *testing.T) {
 // instruction count) must match an independent functional run, with
 // and without REESE, and even under injected-and-recovered faults.
 func TestPipelineMatchesEmulatorOutput(t *testing.T) {
+	// The independent multiplies compete with their R-stream copies for
+	// the multiplier, so the R-stream Queue fills (20 of 20 entries) on
+	// the odd-size machine below; the stores put every iteration's
+	// products into the commit digest's store hash.
 	src := `
 		li r9, 300
 		li r8, 1
+		la r10, buf
 	loop:
 		mul r8, r8, r9
+		mul r1, r9, r9
+		mul r2, r9, r9
+		mul r3, r9, r9
+		mul r4, r9, r9
+		sw r1, 0(r10)
+		sw r4, 4(r10)
 		andi r8, r8, 0xff
 		out r8
 		addi r9, r9, -1
 		bne r9, r0, loop
 		halt
+	.data
+	buf:
+		.space 8
 	`
 	ref, err := emu.New(mustProg(t, src))
 	if err != nil {
@@ -303,6 +317,9 @@ func TestPipelineMatchesEmulatorOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// RUU 24 / LSQ 12 / RSQ 20: no capacity is a power of two, so every
+	// ring rounds its slot array up and Full must follow the logical size.
+	odd := config.Starting().WithRUU(24).WithRSQ(20)
 	for _, tt := range []struct {
 		name string
 		cfg  config.Machine
@@ -311,6 +328,10 @@ func TestPipelineMatchesEmulatorOutput(t *testing.T) {
 		{"baseline", config.Starting(), nil},
 		{"reese", config.Starting().WithReese(), nil},
 		{"reese+faults", config.Starting().WithReese(), &periodic{interval: 200, start: 100}},
+		{"odd/baseline", odd, nil},
+		{"odd/reese", odd.WithReese(), nil},
+		{"odd/reese+faults", odd.WithReese(), &periodic{interval: 200, start: 100}},
+		{"odd/dup", odd.WithDupDispatch(), nil},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cpu, err := New(tt.cfg, mustProg(t, src), tt.inj)
@@ -330,6 +351,9 @@ func TestPipelineMatchesEmulatorOutput(t *testing.T) {
 			if string(cpu.Output()) != string(ref.Output()) {
 				t.Errorf("output mismatch: pipeline %d bytes vs emulator %d bytes",
 					len(cpu.Output()), len(ref.Output()))
+			}
+			if got, want := cpu.CommitDigest(), ref.Digest(); got != want {
+				t.Errorf("commit digest diverges from emulator\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}

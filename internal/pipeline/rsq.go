@@ -57,8 +57,7 @@ func (d rsqDetector) dispatch(c *CPU) int {
 // they occupy a window slot and a dispatch slot like any other
 // instruction — this sharing is where REESE's overhead comes from.
 func (d rsqDetector) dispatchR(c *CPU) bool {
-	e := d.q.NextToDispatch()
-	if e == nil {
+	if !d.q.DispatchPending() {
 		return false
 	}
 	if c.windowFree() <= d.q.InFlight() {
@@ -66,7 +65,7 @@ func (d rsqDetector) dispatchR(c *CPU) bool {
 		c.noteDispatchBlock(obs.CauseDispatchRUUFull)
 		return false
 	}
-	d.q.MarkDispatched(e)
+	e := d.q.DispatchNext()
 	if c.observed() {
 		c.emit(obs.EvDispatchR, e.Seq, &e.Trace, 0, -1)
 	}
@@ -89,19 +88,19 @@ func (d rsqDetector) issue(c *CPU, budget int) int {
 // availability. Copies blocked on a busy unit class are skipped; they
 // hold their window slot until they get one, which is exactly how FU
 // shortage turns into window pressure on the P stream (and why spare
-// elements recover performance).
+// elements recover performance). Only the dispatched window from the
+// oldest unissued copy on is visited.
 func (d rsqDetector) issueR(c *CPU, budget int) int {
-	d.q.Scan(func(e *reese.Entry) bool {
-		if budget <= 0 {
-			return false
-		}
-		if !e.Dispatched || e.Issued {
-			return true
+	from, to := d.q.Unissued()
+	for s := from; s < to && budget > 0; s++ {
+		e := d.q.Get(s)
+		if e.Issued {
+			continue
 		}
 		op := e.Trace.Inst.Op
 		kind, unit, ok := c.acquireFU(op)
 		if !ok {
-			return true
+			continue
 		}
 		var doneAt uint64
 		switch {
@@ -126,8 +125,7 @@ func (d rsqDetector) issueR(c *CPU, budget int) int {
 			c.emit(obs.EvIssueR, e.Seq, &e.Trace, e.RKind+1, int16(unit))
 		}
 		budget--
-		return true
-	})
+	}
 	return budget
 }
 
@@ -139,19 +137,10 @@ func (rsqDetector) writesCache(*ruu.Entry) bool { return false }
 // their window slot. It also samples the queue's occupancy, which is
 // final for the cycle here — issue, dispatch and fetch never change it.
 func (d rsqDetector) verify(c *CPU) {
-	var bad *reese.Entry
-	d.q.Scan(func(e *reese.Entry) bool {
-		if !e.Issued || e.Done || e.DoneAt > c.cycle {
-			return true
-		}
-		if !d.q.Compare(e) {
-			bad = e
-			return false // recovery flushes everything anyway
-		}
+	bad := d.q.CompareDue(c.cycle, func(e *reese.Entry) {
 		if c.observed() {
 			c.emit(obs.EvVerify, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
 		}
-		return true
 	})
 	if bad != nil {
 		c.onMismatch(bad.Seq, &bad.Trace, bad.RKind+1, int16(bad.RUnit), bad.HasFault(), bad.FaultCycle)
@@ -169,7 +158,7 @@ func (d rsqDetector) nextRetire(*CPU, int) (retiring, bool) {
 	if h == nil || !h.Verified {
 		return retiring{}, false
 	}
-	d.q.RetireHead()
+	d.q.RetireHead() // h stays valid until the next enqueue
 	return retiring{seq: h.Seq, tr: &h.Trace, faulty: h.HasFault(),
 		result: h.ResultP, addr: h.AddrP, store: h.StoreValueP, slots: 1}, true
 }
@@ -191,17 +180,12 @@ func (d rsqDetector) enter(c *CPU) {
 		if c.observed() {
 			c.emit(obs.EvEnterRSQ, h.Seq, &h.Trace, 0, -1)
 		}
-		ent := reese.Entry{
-			Seq:         h.Seq,
-			Trace:       h.Trace,
-			ResultP:     h.ResultP,
-			NextPCP:     h.NextPCP,
-			AddrP:       h.AddrP,
-			StoreValueP: h.StoreValueP,
-			FaultBit:    h.FaultBit,
-			FaultCycle:  h.FaultCycle,
-			LSQSeq:      h.LSQSeq,
-		}
+		// The popped head's slot stays intact until the next dispatch,
+		// so the queue's tail slot is filled straight from it.
+		ent := d.q.Enqueue(h.Seq, c.cycle)
+		ent.Trace = h.Trace
+		ent.ResultP, ent.NextPCP, ent.AddrP, ent.StoreValueP = h.ResultP, h.NextPCP, h.AddrP, h.StoreValueP
+		ent.FaultBit, ent.FaultCycle, ent.LSQSeq = h.FaultBit, h.FaultCycle, h.LSQSeq
 		if h.Seq >= c.hookHorizon {
 			c.hookHorizon = h.Seq + 1
 		}
@@ -222,7 +206,6 @@ func (d rsqDetector) enter(c *CPU) {
 				c.faultFired(h.Seq, &h.Trace)
 			}
 		}
-		d.q.Enqueue(ent, c.cycle)
 	}
 }
 

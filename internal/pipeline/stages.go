@@ -390,18 +390,18 @@ func (c *CPU) issueCause() obs.StallCause {
 }
 
 // issueP issues ready P-stream instructions from the RUU, oldest first,
-// on at most budget slots, and returns the slots left.
+// on at most budget slots, and returns the slots left. It visits only
+// the window from the oldest unissued instruction on.
 func (c *CPU) issueP(budget int) int {
-	c.ruu.Scan(func(e *ruu.Entry) bool {
-		if budget <= 0 {
-			return false
-		}
+	from, to := c.ruu.Unissued()
+	for s := from; s < to && budget > 0; s++ {
+		e := c.ruu.Get(s)
 		if e.Issued {
-			return true
+			continue
 		}
 		if !c.ruu.OperandsReady(e, c.cycle) {
 			c.issueNotReady = true
-			return true
+			continue
 		}
 		op := e.Trace.Inst.Op
 		if op.IsLoad() && !e.Bogus {
@@ -410,7 +410,7 @@ func (c *CPU) issueP(budget int) int {
 				// Waiting for earlier store addresses: a readiness wait,
 				// not an FU shortage.
 				c.issueNotReady = true
-				return true
+				continue
 			case ruu.LoadForward:
 				// Store-to-load forwarding inside the LSQ: 1 cycle, no
 				// cache port needed. The port fields are still stamped
@@ -421,12 +421,12 @@ func (c *CPU) issueP(budget int) int {
 				e.FUKind, e.FUUnit = uint8(fu.MemPort), -1
 				c.markIssued(e, c.cycle+1)
 				budget--
-				return true
+				continue
 			}
 		}
 		kind, unit, ok := c.acquireFU(op)
 		if !ok {
-			return true
+			continue
 		}
 		e.FUKind, e.FUUnit = uint8(kind), unit
 		var doneAt uint64
@@ -453,8 +453,7 @@ func (c *CPU) issueP(budget int) int {
 		}
 		c.markIssued(e, doneAt)
 		budget--
-		return true
-	})
+	}
 	return budget
 }
 
@@ -470,9 +469,7 @@ func (c *CPU) acquireFU(op isa.Op) (fu.Kind, int, bool) {
 }
 
 func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
-	e.Issued = true
-	e.IssuedAt = c.cycle
-	e.DoneAt = doneAt
+	c.ruu.MarkIssued(e, c.cycle, doneAt)
 	if c.observed() {
 		c.emit(obs.EvIssue, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
 	}
@@ -487,49 +484,47 @@ func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
 // latch results — the point where the fault injector may corrupt them.
 // The detector's comparator then checks its completed copies.
 func (c *CPU) writeback() {
-	c.ruu.Scan(func(e *ruu.Entry) bool {
-		if !e.Issued || e.Completed || e.DoneAt > c.cycle {
-			return true
-		}
-		e.Completed = true
-		if c.observed() {
-			c.emit(obs.EvWriteback, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
-		}
-		if e.Bogus {
-			// Wrong-path completions update nothing architectural: no
-			// predictor training, no fault injection.
-			return true
-		}
-		op := e.Trace.Inst.Op
-		if op.IsControl() && !e.Dup {
-			c.resolveControl(e)
-		}
-		if c.stuck != nil && c.stuck.Hits(e.FUKind, e.FUUnit) {
-			// A permanent unit fault corrupts the latched outcome of
-			// every computation it performs.
-			switch {
-			case e.Trace.HasResult:
-				e.ResultP ^= c.stuck.Mask()
-			case op.IsStore():
-				e.StoreValueP ^= c.stuck.Mask()
-			}
-		}
-		if e.Seq >= c.hookHorizon {
-			c.hookHorizon = e.Seq + 1
-		}
-		if c.injector == nil {
-			return true
-		}
-		if inj, ok := c.injector.Decide(e.Seq, e.Trace); ok {
-			e.ResultP, e.NextPCP, e.AddrP, e.StoreValueP = fault.Apply(inj, e.Trace)
-			e.FaultBit = inj.Bit % 32
-			e.FaultCycle = c.cycle
-			c.faultFired(e.Seq, &e.Trace)
-		}
-		return true
-	})
-
+	c.ruu.CompleteDue(c.cycle, c.complete)
 	c.det.verify(c)
+}
+
+// complete latches the outcome of P-stream instruction e, whose
+// execution finished this cycle.
+func (c *CPU) complete(e *ruu.Entry) {
+	if c.observed() {
+		c.emit(obs.EvWriteback, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
+	}
+	if e.Bogus {
+		// Wrong-path completions update nothing architectural: no
+		// predictor training, no fault injection.
+		return
+	}
+	op := e.Trace.Inst.Op
+	if op.IsControl() && !e.Dup {
+		c.resolveControl(e)
+	}
+	if c.stuck != nil && c.stuck.Hits(e.FUKind, e.FUUnit) {
+		// A permanent unit fault corrupts the latched outcome of
+		// every computation it performs.
+		switch {
+		case e.Trace.HasResult:
+			e.ResultP ^= c.stuck.Mask()
+		case op.IsStore():
+			e.StoreValueP ^= c.stuck.Mask()
+		}
+	}
+	if e.Seq >= c.hookHorizon {
+		c.hookHorizon = e.Seq + 1
+	}
+	if c.injector == nil {
+		return
+	}
+	if inj, ok := c.injector.Decide(e.Seq, e.Trace); ok {
+		e.ResultP, e.NextPCP, e.AddrP, e.StoreValueP = fault.Apply(inj, e.Trace)
+		e.FaultBit = inj.Bit % 32
+		e.FaultCycle = c.cycle
+		c.faultFired(e.Seq, &e.Trace)
+	}
 }
 
 // resolveControl trains the predictors with the true outcome and, for

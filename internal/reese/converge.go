@@ -19,7 +19,10 @@ func relTime(v, now uint64) uint64 {
 // excluded. Resident entries' program sequence numbers are excluded too
 // — a resident entry's Seq has no further behavioral use (its skip
 // decision was taken at enqueue); callers guard the partial-re-execution
-// case where future enqueues make absolute sequence numbers matter.
+// case where future enqueues make absolute sequence numbers matter. The
+// cursors and the DoneAt watermark are excluded as well: they are
+// conservative bounds that only let a stage skip entries a full scan
+// would skip.
 func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, lsqQ, lsqO SeqNorm) bool {
 	if q.size != o.size || q.highWater != o.highWater || q.every != o.every || q.reso != o.reso {
 		return false
@@ -28,8 +31,8 @@ func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, lsqQ, lsqO SeqNorm) 
 		return false
 	}
 	for i := uint64(0); i < uint64(q.Len()); i++ {
-		ea := &q.slots[(q.headSeq+i)%q.size]
-		eb := &o.slots[(o.headSeq+i)%o.size]
+		ea := &q.slots[(q.headSeq+i)&q.mask]
+		eb := &o.slots[(o.headSeq+i)&o.mask]
 		if ea.Trace != eb.Trace {
 			return false
 		}

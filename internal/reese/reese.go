@@ -16,10 +16,19 @@
 // R-stream instructions soak up idle capacity; when RSQ occupancy
 // crosses a high-water mark, R-stream instructions take priority so the
 // queue drains (the paper's counter-based overflow avoidance, §4.3).
+//
+// The queue is a ring indexed by mask (its slot array is the capacity
+// rounded up to a power of two) with in-order cursors for the pipeline's
+// per-cycle work: a dispatch cursor (copies dispatch in FIFO order), an
+// oldest-unissued and an oldest-uncompared cursor, and an
+// earliest-DoneAt watermark. They are derived, conservative bounds —
+// they skip only entries a full scan would skip — so CloneInto copies
+// them and StateConverged ignores them.
 package reese
 
 import (
 	"fmt"
+	"math/bits"
 
 	"reese/internal/emu"
 	"reese/internal/isa"
@@ -125,10 +134,21 @@ type Stats struct {
 // of order with respect to completion) and retire in order once
 // verified.
 type Queue struct {
-	slots   []Entry
-	size    uint64
+	slots   []Entry // power-of-two length; queue sequence s lives in slot s&mask
+	mask    uint64
+	size    uint64 // logical capacity: Full and Cap use it, not len(slots)
 	headSeq uint64 // oldest resident (rsq-order sequence)
 	nextSeq uint64 // next rsq-order sequence to allocate
+
+	// dispatchEnd bounds the dispatched prefix: every resident entry
+	// below it is Dispatched, and every copy dispatched to re-execute
+	// lies below it. issueFrom and compareFrom are lower bounds on the
+	// queue sequence of every dispatched, unissued and every issued,
+	// uncompared entry; doneMin bounds the latter's DoneAt from below.
+	dispatchEnd uint64
+	issueFrom   uint64
+	compareFrom uint64
+	doneMin     uint64
 
 	// inFlight counts dispatched R copies whose comparison has not
 	// completed (each holds a pipeline window slot).
@@ -166,9 +186,12 @@ func New(size, highWater, reexecuteEvery int) (*Queue, error) {
 	if reexecuteEvery == 0 {
 		reexecuteEvery = 1
 	}
+	n := 1 << bits.Len(uint(size-1))
 	return &Queue{
-		slots:     make([]Entry, size),
+		slots:     make([]Entry, n),
+		mask:      uint64(n - 1),
 		size:      uint64(size),
+		doneMin:   never,
 		highWater: highWater,
 		every:     reexecuteEvery,
 	}, nil
@@ -218,16 +241,22 @@ func (q *Queue) SampleOccupancy() {
 // full RSQ.
 func (q *Queue) NoteFullStall() { q.stats.FullStalls++ }
 
-// Enqueue adds an instruction leaving the RUU head. Returns nil if full.
-func (q *Queue) Enqueue(e Entry, now uint64) *Entry {
+// never is a cycle no re-execution finishes by: the DoneAt watermark of
+// a queue with nothing executing.
+const never = ^uint64(0)
+
+// Enqueue allocates the tail entry for the instruction with program
+// sequence seq leaving the RUU head at cycle now, and returns it for the
+// caller to fill in place with the P-stream record (Trace, the latched
+// outcomes, FaultBit — preset to 255, no fault — and LSQSeq). Returns
+// nil if full.
+func (q *Queue) Enqueue(seq, now uint64) *Entry {
 	if q.Full() {
 		return nil
 	}
-	slot := &q.slots[q.nextSeq%q.size]
-	*slot = e
-	slot.QSeq = q.nextSeq
-	slot.EnqueuedAt = now
-	if q.every > 1 && e.Seq%uint64(q.every) != 0 {
+	slot := &q.slots[q.nextSeq&q.mask]
+	*slot = Entry{Seq: seq, QSeq: q.nextSeq, EnqueuedAt: now, FaultBit: 255}
+	if q.every > 1 && seq%uint64(q.every) != 0 {
 		// Partial re-execution: this instruction is not re-executed and
 		// verifies vacuously (coverage is sacrificed, paper §7).
 		slot.Skipped = true
@@ -242,24 +271,37 @@ func (q *Queue) Enqueue(e Entry, now uint64) *Entry {
 	return slot
 }
 
-// NextToDispatch returns the oldest entry whose R copy has not yet been
-// dispatched back into the pipeline, or nil. The queue is a FIFO: copies
-// re-enter in order.
-func (q *Queue) NextToDispatch() *Entry {
-	for s := q.headSeq; s < q.nextSeq; s++ {
-		e := &q.slots[s%q.size]
-		if !e.Dispatched {
-			return e
-		}
+// undispatched moves the dispatch cursor past entries already
+// dispatched (partial re-execution's skipped entries dispatch
+// vacuously at enqueue) and returns it: the oldest copy still to
+// re-enter the pipeline, or nextSeq when none waits.
+func (q *Queue) undispatched() uint64 {
+	s := max(q.dispatchEnd, q.headSeq)
+	for s < q.nextSeq && q.slots[s&q.mask].Dispatched {
+		s++
 	}
-	return nil
+	q.dispatchEnd = s
+	return s
 }
 
-// MarkDispatched records that e's R copy entered the pipeline.
-func (q *Queue) MarkDispatched(e *Entry) {
+// DispatchPending reports whether an R copy waits to re-enter the
+// pipeline.
+func (q *Queue) DispatchPending() bool { return q.undispatched() < q.nextSeq }
+
+// DispatchNext sends the oldest undispatched R copy back into the
+// pipeline and returns it, or nil when none waits. The queue is a FIFO:
+// copies re-enter in order.
+func (q *Queue) DispatchNext() *Entry {
+	s := q.undispatched()
+	if s == q.nextSeq {
+		return nil
+	}
+	e := &q.slots[s&q.mask]
 	e.Dispatched = true
+	q.dispatchEnd = s + 1
 	q.inFlight++
 	q.stats.Reexecuted++
+	return e
 }
 
 // InFlight returns the number of dispatched R copies whose comparison
@@ -272,6 +314,58 @@ func (q *Queue) MarkIssued(e *Entry, now, done uint64) {
 	e.Issued = true
 	e.IssuedAt = now
 	e.DoneAt = done
+	q.doneMin = min(q.doneMin, done)
+}
+
+// Unissued returns the queue-sequence window [from, to) that holds
+// every dispatched copy not yet issued, oldest first; entries inside it
+// may have issued already. It lies inside the dispatched prefix, and
+// each call first moves the oldest-unissued cursor past its issued
+// head.
+func (q *Queue) Unissued() (from, to uint64) {
+	s, end := max(q.issueFrom, q.headSeq), max(q.dispatchEnd, q.headSeq)
+	for s < end && q.slots[s&q.mask].Issued {
+		s++
+	}
+	q.issueFrom = s
+	return s, end
+}
+
+// CompareDue runs the comparator (Compare) on every issued copy whose
+// re-execution has finished by cycle now, in queue order, calling
+// verified for each match. It stops at the first mismatch and returns
+// that entry — recovery flushes the queue — or nil. It returns at once
+// while the earliest-DoneAt watermark is still in the future, and
+// otherwise visits only the dispatched window from the oldest
+// uncompared copy.
+func (q *Queue) CompareDue(now uint64, verified func(*Entry)) *Entry {
+	if q.doneMin > now {
+		return nil
+	}
+	s, end := max(q.compareFrom, q.headSeq), max(q.dispatchEnd, q.headSeq)
+	for s < end && q.slots[s&q.mask].Done {
+		s++
+	}
+	q.compareFrom = s
+	next := never
+	for ; s < end; s++ {
+		e := &q.slots[s&q.mask]
+		if !e.Issued || e.Done {
+			continue
+		}
+		if e.DoneAt > now {
+			next = min(next, e.DoneAt)
+			continue
+		}
+		if !q.Compare(e) {
+			// The copies not visited keep the old watermark, which
+			// still bounds them.
+			return e
+		}
+		verified(e)
+	}
+	q.doneMin = next
+	return nil
 }
 
 // Resident reports whether qseq is still queued.
@@ -282,16 +376,24 @@ func (q *Queue) Resident(qseq uint64) bool {
 // Get returns the resident entry with queue sequence qseq.
 func (q *Queue) Get(qseq uint64) *Entry {
 	if !q.Resident(qseq) {
-		panic(fmt.Sprintf("reese: Get(%d) not resident [%d,%d)", qseq, q.headSeq, q.nextSeq))
+		panic(notResident{qseq, q.headSeq, q.nextSeq})
 	}
-	return &q.slots[qseq%q.size]
+	return &q.slots[qseq&q.mask]
+}
+
+// notResident is Get's panic value; formatting it lazily keeps Get
+// inlinable.
+type notResident struct{ qseq, head, next uint64 }
+
+func (e notResident) Error() string {
+	return fmt.Sprintf("reese: Get(%d) not resident [%d,%d)", e.qseq, e.head, e.next)
 }
 
 // Scan calls fn for each resident entry in queue order, stopping early
 // if fn returns false.
 func (q *Queue) Scan(fn func(*Entry) bool) {
 	for s := q.headSeq; s < q.nextSeq; s++ {
-		if !fn(&q.slots[s%q.size]) {
+		if !fn(&q.slots[s&q.mask]) {
 			return
 		}
 	}
@@ -302,25 +404,25 @@ func (q *Queue) Head() *Entry {
 	if q.Empty() {
 		return nil
 	}
-	return &q.slots[q.headSeq%q.size]
+	return &q.slots[q.headSeq&q.mask]
 }
 
-// RetireHead removes the verified head entry.
-func (q *Queue) RetireHead() Entry {
+// RetireHead removes the verified head entry (read it with Head first;
+// the slot stays valid until the next Enqueue).
+func (q *Queue) RetireHead() {
 	if q.Empty() {
 		panic("reese: RetireHead on empty queue")
 	}
-	e := q.slots[q.headSeq%q.size]
-	if !e.Verified {
+	if !q.slots[q.headSeq&q.mask].Verified {
 		panic("reese: RetireHead on unverified entry")
 	}
 	q.headSeq++
-	return e
 }
 
 // Flush empties the queue (fault recovery clears the RSQ, §4.3).
 func (q *Queue) Flush() {
 	q.headSeq = q.nextSeq
+	q.doneMin = never // nothing executes; the cursors clamp to the head at use
 	q.inFlight = 0
 }
 

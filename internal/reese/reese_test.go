@@ -32,6 +32,18 @@ func aluEntry(seq uint64, a, b, result uint32) Entry {
 	}
 }
 
+// enqueue fills the queue's tail slot with e's P-stream record, the way
+// the pipeline does in place.
+func enqueue(q *Queue, e Entry, now uint64) *Entry {
+	slot := q.Enqueue(e.Seq, now)
+	if slot != nil {
+		slot.Trace = e.Trace
+		slot.ResultP, slot.NextPCP, slot.AddrP, slot.StoreValueP = e.ResultP, e.NextPCP, e.AddrP, e.StoreValueP
+		slot.FaultBit, slot.FaultCycle, slot.LSQSeq = e.FaultBit, e.FaultCycle, e.LSQSeq
+	}
+	return slot
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, 0, 1); err == nil {
 		t.Error("size 0 should fail")
@@ -54,32 +66,31 @@ func TestNewValidation(t *testing.T) {
 func TestFIFOOrder(t *testing.T) {
 	q := newQ(t, 4)
 	for i := uint64(0); i < 4; i++ {
-		if q.Enqueue(aluEntry(i, 1, 2, 3), 0) == nil {
+		if enqueue(q, aluEntry(i, 1, 2, 3), 0) == nil {
 			t.Fatalf("enqueue %d", i)
 		}
 	}
 	if !q.Full() {
 		t.Error("should be full")
 	}
-	if q.Enqueue(aluEntry(9, 1, 2, 3), 0) != nil {
+	if enqueue(q, aluEntry(9, 1, 2, 3), 0) != nil {
 		t.Error("enqueue into full queue should fail")
 	}
 	// Dispatch order must be FIFO.
 	for i := uint64(0); i < 4; i++ {
-		e := q.NextToDispatch()
+		e := q.DispatchNext()
 		if e == nil || e.Seq != i {
 			t.Fatalf("dispatch order broken at %d: %+v", i, e)
 		}
-		q.MarkDispatched(e)
 	}
-	if q.NextToDispatch() != nil {
+	if q.DispatchPending() || q.DispatchNext() != nil {
 		t.Error("all dispatched")
 	}
 }
 
 func TestRetireRequiresVerification(t *testing.T) {
 	q := newQ(t, 4)
-	e := q.Enqueue(aluEntry(0, 1, 2, 3), 5)
+	e := enqueue(q, aluEntry(0, 1, 2, 3), 5)
 	defer func() {
 		if recover() == nil {
 			t.Error("RetireHead on unverified entry should panic")
@@ -91,7 +102,7 @@ func TestRetireRequiresVerification(t *testing.T) {
 
 func TestCompareALUMatch(t *testing.T) {
 	q := newQ(t, 4)
-	e := q.Enqueue(aluEntry(0, 10, 32, 42), 0)
+	e := enqueue(q, aluEntry(0, 10, 32, 42), 0)
 	if !q.Compare(e) {
 		t.Error("correct result should verify")
 	}
@@ -103,9 +114,12 @@ func TestCompareALUMatch(t *testing.T) {
 		t.Errorf("stats %+v", st)
 	}
 	// Now retirement works.
-	got := q.RetireHead()
-	if got.Seq != 0 {
-		t.Error("retired wrong entry")
+	if q.Head().Seq != 0 {
+		t.Error("head is the wrong entry")
+	}
+	q.RetireHead()
+	if !q.Empty() {
+		t.Error("retire left the entry queued")
 	}
 }
 
@@ -114,7 +128,7 @@ func TestCompareALUMismatch(t *testing.T) {
 	ent := aluEntry(0, 10, 32, 42)
 	ent.ResultP = 42 ^ (1 << 7) // corrupted P result
 	ent.FaultBit = 7
-	e := q.Enqueue(ent, 0)
+	e := enqueue(q, ent, 0)
 	if q.Compare(e) {
 		t.Error("corrupted result must not verify")
 	}
@@ -190,13 +204,13 @@ func TestCompareEveryOpKind(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			q := newQ(t, 4)
 			good := tt.entry
-			e := q.Enqueue(good, 0)
+			e := enqueue(q, good, 0)
 			if !q.Compare(e) {
 				t.Fatalf("clean %s should verify", tt.name)
 			}
 			q2 := newQ(t, 4)
 			bad := tt.entry
-			e2 := q2.Enqueue(bad, 0)
+			e2 := enqueue(q2, bad, 0)
 			tt.corrupt(e2)
 			if q2.Compare(e2) {
 				t.Errorf("corrupted %s should mismatch", tt.name)
@@ -208,7 +222,7 @@ func TestCompareEveryOpKind(t *testing.T) {
 func TestCompareHaltAndOutAlwaysVerify(t *testing.T) {
 	q := newQ(t, 4)
 	for _, op := range []isa.Op{isa.OpHalt, isa.OpOut} {
-		e := q.Enqueue(Entry{Trace: emu.Trace{Inst: isa.Instruction{Op: op}}, FaultBit: 255}, 0)
+		e := enqueue(q, Entry{Trace: emu.Trace{Inst: isa.Instruction{Op: op}}, FaultBit: 255}, 0)
 		if !q.Compare(e) {
 			t.Errorf("%s has no comparable result and must verify", op)
 		}
@@ -221,12 +235,12 @@ func TestPressureHighWater(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 5; i++ {
-		q.Enqueue(aluEntry(i, 1, 2, 3), 0)
+		enqueue(q, aluEntry(i, 1, 2, 3), 0)
 	}
 	if q.PressureHigh() {
 		t.Error("below high water")
 	}
-	q.Enqueue(aluEntry(5, 1, 2, 3), 0)
+	enqueue(q, aluEntry(5, 1, 2, 3), 0)
 	if !q.PressureHigh() {
 		t.Error("at high water")
 	}
@@ -238,12 +252,12 @@ func TestDefaultHighWater(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 23; i++ {
-		q.Enqueue(aluEntry(i, 1, 2, 3), 0)
+		enqueue(q, aluEntry(i, 1, 2, 3), 0)
 	}
 	if q.PressureHigh() {
 		t.Error("23 of 32 should be below the default high water (24)")
 	}
-	q.Enqueue(aluEntry(23, 1, 2, 3), 0)
+	enqueue(q, aluEntry(23, 1, 2, 3), 0)
 	if !q.PressureHigh() {
 		t.Error("24 of 32 should trip the default high water")
 	}
@@ -256,7 +270,7 @@ func TestPartialReexecutionMarksSkipped(t *testing.T) {
 	}
 	skipped := 0
 	for i := uint64(0); i < 10; i++ {
-		e := q.Enqueue(aluEntry(i, 1, 2, 3), 0)
+		e := enqueue(q, aluEntry(i, 1, 2, 3), 0)
 		if e.Skipped {
 			skipped++
 			if !e.Verified || !e.Done || !e.Issued {
@@ -274,19 +288,19 @@ func TestPartialReexecutionMarksSkipped(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	q := newQ(t, 4)
-	q.Enqueue(aluEntry(0, 1, 2, 3), 0)
+	enqueue(q, aluEntry(0, 1, 2, 3), 0)
 	q.Flush()
 	if !q.Empty() {
 		t.Error("flush should empty the queue")
 	}
-	if q.NextToDispatch() != nil {
+	if q.DispatchPending() {
 		t.Error("nothing to dispatch after flush")
 	}
 }
 
 func TestGetByQSeq(t *testing.T) {
 	q := newQ(t, 4)
-	e := q.Enqueue(aluEntry(7, 1, 2, 3), 0)
+	e := enqueue(q, aluEntry(7, 1, 2, 3), 0)
 	got := q.Get(e.QSeq)
 	if got.Seq != 7 {
 		t.Errorf("Get returned seq %d", got.Seq)
@@ -315,13 +329,13 @@ func TestCompareDetectsEverySingleBitFlip(t *testing.T) {
 			ResultP:  result,
 			FaultBit: 255,
 		}
-		e := q.Enqueue(ent, 0)
+		e := enqueue(q, ent, 0)
 		if !q.Compare(e) {
 			return false
 		}
 		q2, _ := New(4, 0, 1)
 		ent.ResultP ^= 1 << (bit % 32)
-		e2 := q2.Enqueue(ent, 0)
+		e2 := enqueue(q2, ent, 0)
 		return !q2.Compare(e2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -333,8 +347,8 @@ func TestStatsCounters(t *testing.T) {
 	q := newQ(t, 8)
 	q.NoteFullStall()
 	q.NotePriorityCycle()
-	e := q.Enqueue(aluEntry(0, 1, 2, 3), 0)
-	q.MarkDispatched(e)
+	enqueue(q, aluEntry(0, 1, 2, 3), 0)
+	e := q.DispatchNext()
 	q.MarkIssued(e, 5, 7)
 	if e.IssuedAt != 5 || e.DoneAt != 7 || !e.Issued {
 		t.Error("issue marking")

@@ -2,8 +2,9 @@ package ruu
 
 // Snapshot/fork support: deep copies of the in-flight queues. Resident
 // entries are value types (emu.Trace and scalars), so copying the slot
-// slices captures everything; the circular addressing by sequence number
-// is position-independent state that the struct copy carries along.
+// slices captures everything; the circular addressing by sequence number,
+// the cursors and the DoneAt watermark are position-independent state
+// that the struct copy carries along.
 
 // CloneInto deep-copies the RUU into dst (allocating when dst is nil),
 // reusing dst's slot slice when its capacity allows.

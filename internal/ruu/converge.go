@@ -15,7 +15,10 @@ package ruu
 //     cycle, with anything at or before "now" collapsing to zero (a
 //     deadline in the past is simply "ready");
 //   - pure statistics (how a value came to be, not what it will do) are
-//     excluded.
+//     excluded, and so are the derived cursors and DoneAt watermark:
+//     they only decide which entries a stage may skip, and they skip
+//     only entries a full scan would skip too, so two machines whose
+//     entries match behave alike whatever their cursors hold.
 
 // SeqNone is the normalized sentinel for a sequence reference with no
 // behavioral meaning (absent, or no longer resident).
@@ -59,8 +62,8 @@ func Converged(a, b *RUU, la, lb *LSQ, nowA, nowB uint64) bool {
 		return false
 	}
 	for i := uint64(0); i < uint64(a.Len()); i++ {
-		ea := &a.slots[(a.headSeq+i)%a.size]
-		eb := &b.slots[(b.headSeq+i)%b.size]
+		ea := &a.slots[(a.headSeq+i)&a.mask]
+		eb := &b.slots[(b.headSeq+i)&b.mask]
 		if ea.Trace != eb.Trace {
 			return false
 		}
@@ -104,8 +107,8 @@ func Converged(a, b *RUU, la, lb *LSQ, nowA, nowB uint64) bool {
 		}
 	}
 	for i := uint64(0); i < uint64(la.Len()); i++ {
-		ea := &la.slots[(la.headSeq+i)%la.size]
-		eb := &lb.slots[(lb.headSeq+i)%lb.size]
+		ea := &la.slots[(la.headSeq+i)&la.mask]
+		eb := &lb.slots[(lb.headSeq+i)&lb.mask]
 		if ea.IsStore != eb.IsStore || ea.Addr != eb.Addr || ea.Width != eb.Width ||
 			ea.Issued != eb.Issued || ea.Forwarded != eb.Forwarded {
 			return false

@@ -2,6 +2,7 @@ package ruu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"reese/internal/emu"
 )
@@ -30,8 +31,9 @@ type LSQEntry struct {
 // Entries are freed at commit (baseline) or after R-stream verification
 // (REESE), which is what makes the LSQ a REESE pressure point.
 type LSQ struct {
-	slots   []LSQEntry
-	size    uint64
+	slots   []LSQEntry // power-of-two length; memSeq s lives in slot s&mask
+	mask    uint64
+	size    uint64 // logical capacity
 	headSeq uint64
 	nextSeq uint64
 }
@@ -41,7 +43,8 @@ func NewLSQ(size int) (*LSQ, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("ruu: lsq size %d too small", size)
 	}
-	return &LSQ{slots: make([]LSQEntry, size), size: uint64(size)}, nil
+	n := 1 << bits.Len(uint(size-1))
+	return &LSQ{slots: make([]LSQEntry, n), mask: uint64(n - 1), size: uint64(size)}, nil
 }
 
 // Len returns the number of resident entries.
@@ -64,9 +67,9 @@ func (q *LSQ) Resident(memSeq uint64) bool {
 // Get returns the resident entry with sequence memSeq.
 func (q *LSQ) Get(memSeq uint64) *LSQEntry {
 	if !q.Resident(memSeq) {
-		panic(fmt.Sprintf("ruu: LSQ.Get(%d) not resident [%d,%d)", memSeq, q.headSeq, q.nextSeq))
+		panic(notResident{"ruu: LSQ.Get", memSeq, q.headSeq, q.nextSeq})
 	}
-	return &q.slots[memSeq%q.size]
+	return &q.slots[memSeq&q.mask]
 }
 
 // Dispatch allocates the tail entry for the memory instruction in tr.
@@ -76,7 +79,7 @@ func (q *LSQ) Dispatch(tr emu.Trace, seq uint64) *LSQEntry {
 		return nil
 	}
 	ms := q.nextSeq
-	e := &q.slots[ms%q.size]
+	e := &q.slots[ms&q.mask]
 	*e = LSQEntry{
 		MemSeq:  ms,
 		Seq:     seq,
@@ -114,7 +117,7 @@ func (q *LSQ) CheckLoad(memSeq uint64) LoadDisposition {
 	e := q.Get(memSeq)
 	disp := LoadFromCache
 	for ms := q.headSeq; ms < memSeq; ms++ {
-		s := &q.slots[ms%q.size]
+		s := &q.slots[ms&q.mask]
 		if !s.IsStore {
 			continue
 		}
@@ -131,14 +134,12 @@ func (q *LSQ) CheckLoad(memSeq uint64) LoadDisposition {
 	return disp
 }
 
-// RemoveHead pops the oldest entry.
-func (q *LSQ) RemoveHead() LSQEntry {
+// RemoveHead pops the oldest entry (read it with Head first).
+func (q *LSQ) RemoveHead() {
 	if q.Empty() {
 		panic("ruu: RemoveHead on empty LSQ")
 	}
-	e := q.slots[q.headSeq%q.size]
 	q.headSeq++
-	return e
 }
 
 // Head returns the oldest entry, or nil when empty.
@@ -146,7 +147,7 @@ func (q *LSQ) Head() *LSQEntry {
 	if q.Empty() {
 		return nil
 	}
-	return &q.slots[q.headSeq%q.size]
+	return &q.slots[q.headSeq&q.mask]
 }
 
 // Flush discards all entries.

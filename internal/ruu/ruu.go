@@ -10,12 +10,21 @@
 // entries move into the R-stream Queue instead of committing directly.
 //
 // Entries are addressed by sequence number; an entry with sequence s
-// occupies slot s mod size while resident, so lookups are O(1) with no
-// generation counters.
+// occupies slot s & mask while resident (the slot array's length is the
+// capacity rounded up to a power of two), so lookups are O(1) with no
+// generation counters or division.
+//
+// Besides the window itself the RUU keeps derived bookkeeping that lets
+// the per-cycle stages visit only entries that can act: an
+// oldest-unissued cursor (Unissued), an oldest-uncompleted cursor and an
+// earliest-DoneAt watermark (CompleteDue). Each is a conservative bound
+// — it only ever skips entries a full scan would skip too — so it is
+// copied by CloneInto but never compared by Converged.
 package ruu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"reese/internal/emu"
 	"reese/internal/isa"
@@ -96,13 +105,25 @@ type Entry struct {
 // HasFault reports whether a fault was injected into this instruction.
 func (e *Entry) HasFault() bool { return e.FaultBit != 255 }
 
+// never is a cycle no execution finishes by: the DoneAt watermark of a
+// window with nothing executing.
+const never = ^uint64(0)
+
 // RUU is the register update unit.
 type RUU struct {
-	slots []Entry
-	size  uint64
+	slots []Entry // power-of-two length; sequence s lives in slot s&mask
+	mask  uint64
+	size  uint64 // logical capacity: Full and Cap use it, not len(slots)
 
 	headSeq uint64 // sequence number of the oldest resident entry
 	nextSeq uint64 // sequence number the next dispatch receives
+
+	// issueFrom and completeFrom are lower bounds on the sequence of
+	// every resident unissued and uncompleted entry; doneMin is a lower
+	// bound on the DoneAt of every issued, uncompleted entry.
+	issueFrom    uint64
+	completeFrom uint64
+	doneMin      uint64
 
 	// producer maps each architectural register (integer file first,
 	// then FP file) to the sequence number of its latest in-flight
@@ -123,7 +144,8 @@ func New(size int) (*RUU, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("ruu: size %d too small", size)
 	}
-	r := &RUU{slots: make([]Entry, size), size: uint64(size)}
+	n := 1 << bits.Len(uint(size-1))
+	r := &RUU{slots: make([]Entry, n), mask: uint64(n - 1), size: uint64(size), doneMin: never}
 	for i := range r.producer {
 		r.producer[i] = NoProducer
 	}
@@ -159,9 +181,20 @@ func (r *RUU) Resident(seq uint64) bool {
 // Get returns the resident entry with sequence seq.
 func (r *RUU) Get(seq uint64) *Entry {
 	if !r.Resident(seq) {
-		panic(fmt.Sprintf("ruu: Get(%d) not resident [%d,%d)", seq, r.headSeq, r.nextSeq))
+		panic(notResident{"ruu: Get", seq, r.headSeq, r.nextSeq})
 	}
-	return &r.slots[seq%r.size]
+	return &r.slots[seq&r.mask]
+}
+
+// notResident is the panic value of a lookup outside the resident
+// window; formatting it lazily keeps the lookups inlinable.
+type notResident struct {
+	op              string
+	seq, head, next uint64
+}
+
+func (e notResident) Error() string {
+	return fmt.Sprintf("%s(%d) not resident [%d,%d)", e.op, e.seq, e.head, e.next)
 }
 
 // Head returns the oldest entry, or nil when empty.
@@ -169,7 +202,7 @@ func (r *RUU) Head() *Entry {
 	if r.Empty() {
 		return nil
 	}
-	return &r.slots[r.headSeq%r.size]
+	return &r.slots[r.headSeq&r.mask]
 }
 
 // Dispatch allocates the tail entry for tr, wiring operand dependencies
@@ -181,7 +214,7 @@ func (r *RUU) Dispatch(tr emu.Trace, lsqSeq uint64) *Entry {
 		return nil
 	}
 	seq := r.nextSeq
-	e := &r.slots[seq%r.size]
+	e := &r.slots[seq&r.mask]
 	*e = Entry{
 		Seq:         seq,
 		Trace:       tr,
@@ -231,7 +264,7 @@ func (r *RUU) DispatchDup(tr emu.Trace, pairSeq, dep1, dep2, lsqSeq uint64) *Ent
 		return nil
 	}
 	seq := r.nextSeq
-	e := &r.slots[seq%r.size]
+	e := &r.slots[seq&r.mask]
 	*e = Entry{
 		Seq:         seq,
 		Trace:       tr,
@@ -260,12 +293,16 @@ func (r *RUU) TruncateAfter(seq uint64) {
 		return
 	}
 	for s := r.nextSeq - 1; s > seq; s-- {
-		e := &r.slots[s%r.size]
+		e := &r.slots[s&r.mask]
 		if e.destIdx >= 0 && r.producer[e.destIdx] == e.Seq {
 			r.producer[e.destIdx] = e.prevProducer
 		}
 	}
 	r.nextSeq = seq + 1
+	// The squashed slots are dispatched again: the cursors must not
+	// stay past them.
+	r.issueFrom = min(r.issueFrom, r.nextSeq)
+	r.completeFrom = min(r.completeFrom, r.nextSeq)
 }
 
 // depReady reports whether the producer with sequence dep has made its
@@ -279,7 +316,7 @@ func (r *RUU) depReady(dep uint64, now uint64) bool {
 		// the R-stream Queue carrying its result), so it is available.
 		return true
 	}
-	p := &r.slots[dep%r.size]
+	p := &r.slots[dep&r.mask]
 	return p.Completed && p.DoneAt <= now
 }
 
@@ -291,24 +328,75 @@ func (r *RUU) OperandsReady(e *Entry, now uint64) bool {
 
 // RemoveHead pops the oldest entry. The caller must have decided it is
 // allowed to leave (completed, and under REESE that the R-stream Queue
-// has room).
-func (r *RUU) RemoveHead() Entry {
+// has room); Head, read first, stays valid until the next dispatch.
+func (r *RUU) RemoveHead() {
 	if r.Empty() {
 		panic("ruu: RemoveHead on empty RUU")
 	}
-	e := r.slots[r.headSeq%r.size]
 	r.headSeq++
-	return e
 }
 
 // Scan calls fn for each resident entry in program order, stopping early
 // if fn returns false.
 func (r *RUU) Scan(fn func(*Entry) bool) {
 	for seq := r.headSeq; seq < r.nextSeq; seq++ {
-		if !fn(&r.slots[seq%r.size]) {
+		if !fn(&r.slots[seq&r.mask]) {
 			return
 		}
 	}
+}
+
+// Unissued returns the sequence window [from, to) that holds every
+// resident entry not yet issued, in program order; entries inside it
+// may have issued already. Each call first moves the oldest-unissued
+// cursor past the issued prefix, so over a run every entry is stepped
+// over once.
+func (r *RUU) Unissued() (from, to uint64) {
+	s := max(r.issueFrom, r.headSeq)
+	for s < r.nextSeq && r.slots[s&r.mask].Issued {
+		s++
+	}
+	r.issueFrom = s
+	return s, r.nextSeq
+}
+
+// MarkIssued records that e started executing at cycle now and finishes
+// at doneAt.
+func (r *RUU) MarkIssued(e *Entry, now, doneAt uint64) {
+	e.Issued = true
+	e.IssuedAt = now
+	e.DoneAt = doneAt
+	r.doneMin = min(r.doneMin, doneAt)
+}
+
+// CompleteDue completes, in program order, every issued entry whose
+// execution has finished by cycle now: it sets Completed and calls fn,
+// which may squash the window's tail (TruncateAfter). It returns at
+// once while the earliest-DoneAt watermark is still in the future, and
+// otherwise visits only the window from the oldest uncompleted entry.
+func (r *RUU) CompleteDue(now uint64, fn func(*Entry)) {
+	if r.doneMin > now {
+		return
+	}
+	s := max(r.completeFrom, r.headSeq)
+	for s < r.nextSeq && r.slots[s&r.mask].Completed {
+		s++
+	}
+	r.completeFrom = s
+	next := never
+	for ; s < r.nextSeq; s++ {
+		e := &r.slots[s&r.mask]
+		if !e.Issued || e.Completed {
+			continue
+		}
+		if e.DoneAt > now {
+			next = min(next, e.DoneAt)
+			continue
+		}
+		e.Completed = true
+		fn(e)
+	}
+	r.doneMin = next
 }
 
 // Flush discards every in-flight instruction and clears the create
@@ -316,6 +404,7 @@ func (r *RUU) Scan(fn func(*Entry) bool) {
 // branch-mispredict flushes).
 func (r *RUU) Flush() {
 	r.headSeq = r.nextSeq
+	r.doneMin = never // nothing executes; the cursors clamp to the head at use
 	for i := range r.producer {
 		r.producer[i] = NoProducer
 	}

@@ -113,10 +113,10 @@ func TestSlotReuseAfterWrap(t *testing.T) {
 		if e.Seq != uint64(i) {
 			t.Errorf("seq = %d, want %d", e.Seq, i)
 		}
-		got := r.RemoveHead()
-		if got.Seq != uint64(i) {
-			t.Errorf("removed seq = %d, want %d", got.Seq, i)
+		if got := r.Head(); got.Seq != uint64(i) {
+			t.Errorf("head seq = %d, want %d", got.Seq, i)
 		}
+		r.RemoveHead()
 	}
 }
 
@@ -280,10 +280,10 @@ func TestLSQRemoveHeadOrder(t *testing.T) {
 	q, _ := NewLSQ(4)
 	q.Dispatch(memTrace(isa.OpSw, 0, 4), 10)
 	q.Dispatch(memTrace(isa.OpLw, 4, 4), 11)
-	e := q.RemoveHead()
-	if e.Seq != 10 || !e.IsStore {
+	if e := q.Head(); e.Seq != 10 || !e.IsStore {
 		t.Errorf("head = %+v", e)
 	}
+	q.RemoveHead()
 	if q.Head().Seq != 11 {
 		t.Errorf("new head = %+v", q.Head())
 	}
